@@ -1,6 +1,7 @@
 """Batch front-end: experiment configs in, CSV tables and SVG figures out.
 
-Exit codes: 0 success, 2 I/O error, 3 config schema error, 4 resource cap.
+Exit codes: 0 success, 2 I/O error, 3 config schema error (including bad
+points and malformed circuit or kernel fields), 4 resource cap.
 CSV files are the source of truth; SVG figures are derived conveniences.
 Identical config + seed produce byte-identical CSV regardless of --threads.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ResourceCapError, StructuralError, ValidationError
 from .etk import etk_from_json, evaluate_real
 from .learning import learning_comparison_experiment
 from .mercer import mercer_decompose
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (KeyError, TypeError, ValidationError) as exc:
+    except (KeyError, TypeError, StructuralError, ValidationError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except ResourceCapError as exc:

@@ -3,8 +3,21 @@
 An entangled tensor kernel (ETK) is K(x, x') = <F(x)| C |F(x')> where
 |F(x)> = (x) tensor product of small per-site feature vectors and C is a
 positive semidefinite core matrix.  The core may be dense, an MPO, or a
-locally purified MPO; evaluation picks the cheapest route for the given
-representation.
+locally purified MPO.
+
+Every evaluation is batched.  ``feature_matrix`` computes the per-site local
+features of all sample rows at once, one (m, d_k) array per site, and
+``gram_block`` contracts the features of two row sets with the core in one
+call, by the route of the core's representation:
+
+* dense core of dimension D: conj(F) C F'^T on the Kronecker-stacked rows,
+  O(m D^2 + m m' D);
+* MPO core: the environment sweep with sample axes (m, m', chi),
+  O(m m' d^2 chi^2) per site;
+* LPMPO core (C = X X^dagger): two half-contractions per site with sample
+  axes (m, m', chi, chi), O(m m' p chi^3) per site, never forming C.
+
+``gram_matrix`` and ``evaluate`` (the 1 x 1 case) are built on it.
 """
 
 from __future__ import annotations
@@ -24,18 +37,20 @@ from .feature_maps import (
     eval_local_E,
     eval_local_T,
     local_trig_components,
+    trig_features,
 )
 from .tensor_core import (
     DEFAULT_DENSE_CAP,
     LPMPO,
     MPO,
+    dense_gram,
+    lpmpo_gram,
     lpmpo_materialize,
-    lpmpo_sandwich,
     min_eig_ratio,
     mpo_from_json,
+    mpo_gram,
     mpo_to_dense,
     mpo_to_json,
-    sandwich_contract,
 )
 
 CoreTensor = Union[np.ndarray, MPO, LPMPO]
@@ -46,9 +61,12 @@ class EtkKernel:
     """Product feature maps plus a PSD core tensor.
 
     site_features: one callable per site mapping a data vector to a local
-    feature vector of dimension local_dims[k].  site_trig optionally stores
-    each local component as a trigonometric polynomial ({freq tuple: coeff})
-    for exact Fourier inner products downstream.
+    feature vector of dimension local_dims[k].  When feature_set is given,
+    the site features are its pre-processing functions' features in
+    `basis`, and feature_matrix computes them for many rows at once.
+    site_trig optionally stores each local component as a trigonometric
+    polynomial ({freq tuple: coeff}) for exact Fourier inner products
+    downstream.
     """
 
     site_features: list[Callable[[np.ndarray], np.ndarray]]
@@ -113,41 +131,82 @@ class EtkKernel:
         return comps
 
 
-def evaluate(kernel: EtkKernel, x: np.ndarray, x2: np.ndarray) -> complex:
-    """K(x, x') = <F(x)| C |F(x')> via the cheapest route for the core."""
-    bra = kernel.local_vectors(np.asarray(x, dtype=float))
-    ket = kernel.local_vectors(np.asarray(x2, dtype=float))
+def _sample_rows(X, data_dim: int) -> np.ndarray:
+    try:
+        X = np.asarray(X, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"samples must form an (m, {data_dim}) array") from exc
+    if X.ndim != 2 or X.shape[1] != data_dim:
+        raise StructuralError(
+            f"input rows of shape {X.shape[1:]} do not match data dim {data_dim}"
+        )
+    if not np.all(np.isfinite(X)):
+        raise ValidationError("inputs must be finite")
+    return X
+
+
+def feature_matrix(kernel: EtkKernel, X) -> list[np.ndarray]:
+    """Local features of every row of X: one (m, local_dims[k]) array per site.
+
+    Feature-set kernels compute phi = X w + b once per site for all rows;
+    other kernels call each site's feature map once per row.  Rows must be
+    finite and data_dim wide.
+    """
+    X = _sample_rows(X, kernel.data_dim)
+    if kernel.feature_set is not None:
+        return [
+            trig_features(fn.angles(X), kernel.basis)
+            for fn in kernel.feature_set.maps
+        ]
+    feats = []
+    for f, d in zip(kernel.site_features, kernel.local_dims):
+        rows = [np.asarray(f(x), dtype=complex) for x in X]
+        if any(r.shape != (d,) for r in rows):
+            raise StructuralError("local feature has wrong dimension")
+        feats.append(np.array(rows, dtype=complex).reshape(len(X), d))
+    return feats
+
+
+def gram_block(kernel: EtkKernel, X, Y) -> np.ndarray:
+    """K(x_i, y_j) for all rows of X against all rows of Y, in one batched
+    contraction of their feature matrices with the core."""
+    fx = feature_matrix(kernel, X)
+    fy = fx if Y is X else feature_matrix(kernel, Y)
     if isinstance(kernel.core, MPO):
-        return sandwich_contract(bra, kernel.core, ket)
+        return mpo_gram(fx, kernel.core, fy)
     if isinstance(kernel.core, LPMPO):
-        return lpmpo_sandwich(bra, kernel.core, ket)
-    fb = reduce(np.kron, bra)
-    fk = reduce(np.kron, ket)
-    return complex(fb.conj() @ kernel.core @ fk)
+        return lpmpo_gram(fx, kernel.core, fy)
+    return dense_gram(fx, kernel.core, fy)
+
+
+def real_kernel_values(values: np.ndarray, imag_tol: float = 1e-10) -> np.ndarray:
+    """Real parts of kernel values; each imaginary part must stay below
+    imag_tol times max(|value|, 1)."""
+    bad = np.abs(values.imag) > imag_tol * np.maximum(np.abs(values), 1.0)
+    if bad.any():
+        raise ValidationError(
+            f"kernel value has imaginary part {values.imag[bad][0]:.3e}"
+        )
+    return values.real
+
+
+def evaluate(kernel: EtkKernel, x: np.ndarray, x2: np.ndarray) -> complex:
+    """K(x, x') = <F(x)| C |F(x')>, the 1 x 1 case of gram_block."""
+    return complex(gram_block(kernel, [x], [x2])[0, 0])
 
 
 def evaluate_real(kernel: EtkKernel, x, x2, imag_tol: float = 1e-10) -> float:
     """Real kernel value; asserts the imaginary part is negligible."""
-    v = evaluate(kernel, x, x2)
-    scale = max(abs(v), 1.0)
-    if abs(v.imag) > imag_tol * scale:
-        raise ValidationError(f"kernel value has imaginary part {v.imag:.3e}")
-    return v.real
+    return float(real_kernel_values(gram_block(kernel, [x], [x2]), imag_tol)[0, 0])
 
 
-def gram_matrix(kernel: EtkKernel, X: list[np.ndarray]) -> np.ndarray:
-    """Hermitian Gram matrix G_ij = K(x_i, x_j) over a sample list."""
+def gram_matrix(kernel: EtkKernel, X) -> np.ndarray:
+    """Hermitian Gram matrix G_ij = K(x_i, x_j) over the sample rows X,
+    symmetrized as (G + G^dagger) / 2 so that it is exactly Hermitian."""
     if len(X) == 0:
         raise ValidationError("sample list must be non-empty")
-    m = len(X)
-    g = np.empty((m, m), dtype=complex)
-    for i in range(m):
-        g[i, i] = evaluate(kernel, X[i], X[i])
-        for j in range(i + 1, m):
-            v = evaluate(kernel, X[i], X[j])
-            g[i, j] = v
-            g[j, i] = np.conj(v)
-    return g
+    g = gram_block(kernel, X, X)
+    return (g + g.conj().T) / 2
 
 
 def gram_matrix_real(kernel: EtkKernel, X, imag_tol: float = 1e-8) -> np.ndarray:

@@ -6,7 +6,9 @@ phi feeds two local feature vectors:
 * T basis: (1, cos phi, sin phi) / sqrt(2), real with unit norm;
 * E basis: (1, e^{i phi}, e^{-i phi}, 1), complex.
 
-The two are linked by the constant 4x3 isometry P via E = 2 P T.
+The two are linked by the constant 4x3 isometry P via E = 2 P T.  Both are
+computed by ``trig_features``, for one angle or for an array of angles;
+``PreprocessingFn.angles`` gives the angles of many data rows at once.
 """
 
 from __future__ import annotations
@@ -50,11 +52,21 @@ class PreprocessingFn:
             raise StructuralError(
                 f"input dim {x.shape} does not match declared {self.input_dim}"
             )
+        return float(self.angles(x[None])[0])
+
+    def angles(self, X: np.ndarray) -> np.ndarray:
+        """phi of every row of an (m, input_dim) array, as an (m,) array;
+        calling the function on one point is the one-row case."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.input_dim:
+            raise StructuralError(
+                f"input rows {X.shape} do not match declared dim {self.input_dim}"
+            )
         if self.kind == "coordinate":
-            return float(x[self.index])
+            return X[:, self.index]
         if self.kind == "affine":
-            return float(np.dot(self.weights, x) + self.bias)
-        return 0.0
+            return X @ np.asarray(self.weights) + self.bias
+        return np.zeros(X.shape[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,16 +112,34 @@ class LocalFeatureSet:
         return self.maps[0].input_dim
 
 
+def trig_features(phi, basis: str = "T") -> np.ndarray:
+    """Local features of an angle or an array of angles, on a new last axis:
+    (1, cos phi, sin phi)/sqrt(2) in the T basis, (1, e^{i phi}, e^{-i phi}, 1)
+    in the E basis."""
+    phi = np.asarray(phi, dtype=float)
+    if basis == "T":
+        out = np.empty(phi.shape + (3,))
+        out[..., 0] = 1.0
+        out[..., 1] = np.cos(phi)
+        out[..., 2] = np.sin(phi)
+        return out / np.sqrt(2.0)
+    if basis == "E":
+        out = np.empty(phi.shape + (4,), dtype=complex)
+        out[..., 0] = out[..., 3] = 1.0
+        out[..., 1] = np.exp(1j * phi)
+        out[..., 2] = np.exp(-1j * phi)
+        return out
+    raise ValidationError(f"unknown basis {basis!r}")
+
+
 def eval_local_T(fn: PreprocessingFn, x: np.ndarray) -> np.ndarray:
     """Unit-norm local trig feature (1, cos phi, sin phi)/sqrt(2)."""
-    phi = fn(x)
-    return np.array([1.0, np.cos(phi), np.sin(phi)]) / np.sqrt(2.0)
+    return trig_features(fn(x), "T")
 
 
 def eval_local_E(fn: PreprocessingFn, x: np.ndarray) -> np.ndarray:
     """Complex local feature (1, e^{i phi}, e^{-i phi}, 1)."""
-    phi = fn(x)
-    return np.array([1.0, np.exp(1j * phi), np.exp(-1j * phi), 1.0])
+    return trig_features(fn(x), "E")
 
 
 def isometry_P() -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ValidationError
-from .etk import EtkKernel, gram_matrix_real, evaluate_real
+from .etk import EtkKernel, gram_block, gram_matrix_real, real_kernel_values
 from .mercer import MercerDecomposition
 from .single_layer import (
     HAAR_MODEL,
@@ -110,8 +110,7 @@ class TailoredTarget:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         phases = x @ self.frequencies.T  # (m, P)
-        vals = np.cos(phases) @ np.sqrt(self.coefficients)
-        return vals if vals.size > 1 else vals
+        return np.cos(phases) @ np.sqrt(self.coefficients)
 
 
 @dataclass
@@ -152,27 +151,29 @@ def krr_fit(
     return KrrModel(ridge=ridge, train_inputs=np.asarray(train_inputs), dual_coef=a)
 
 
+def _eigen_rows(dec: MercerDecomposition, X: np.ndarray) -> np.ndarray:
+    return np.array([dec.eigenfunctions_at(x) for x in X])
+
+
+def _eigen_gram(dec: MercerDecomposition, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    return ((ex.conj() * dec.eigenvalues) @ ey.T).real
+
+
 def cross_gram(kernel: KernelLike, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """K(x_i, y_j) for rows of X against rows of Y."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if isinstance(kernel, MercerDecomposition):
-        ex = np.array([kernel.eigenfunctions_at(x) for x in X])
-        ey = np.array([kernel.eigenfunctions_at(y) for y in Y])
-        g = (ex.conj() * kernel.eigenvalues) @ ey.T
-        return g.real
-    out = np.empty((X.shape[0], Y.shape[0]))
-    for i, x in enumerate(X):
-        for j, y in enumerate(Y):
-            out[i, j] = evaluate_real(kernel, x, y)
-    return out
+        return _eigen_gram(kernel, _eigen_rows(kernel, X), _eigen_rows(kernel, Y))
+    return real_kernel_values(gram_block(kernel, X, Y))
 
 
 def self_gram(kernel: KernelLike, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if isinstance(kernel, MercerDecomposition):
-        return cross_gram(kernel, X, X)
-    return gram_matrix_real(kernel, list(X))
+        ex = _eigen_rows(kernel, X)
+        return _eigen_gram(kernel, ex, ex)
+    return gram_matrix_real(kernel, X)
 
 
 def krr_predict(model: KrrModel, kernel: KernelLike, X_new: np.ndarray) -> np.ndarray:
@@ -243,11 +244,16 @@ def learning_curve(
     ridge: Optional[float] = None,
 ) -> ResultTable:
     """Test MSE after fitting on the first m training points, per scheduled m."""
+    g_train = self_gram(kernel, data.train_inputs)
+    k_ct = cross_gram(kernel, data.test_inputs, data.train_inputs)
+    return _curve(g_train, k_ct, data, schedule, ridge)
+
+
+def _curve(g_train, k_ct, data: Dataset, schedule, ridge) -> ResultTable:
+    """learning_curve from the train Gram and the test-train cross Gram."""
     schedule = [int(m) for m in schedule]
     if max(schedule) > data.train_idx.size:
         raise ValidationError("schedule exceeds the training set size")
-    g_train = self_gram(kernel, data.train_inputs)
-    k_ct = cross_gram(kernel, data.test_inputs, data.train_inputs)
     if ridge is None:
         ridge = default_ridge(g_train)
     y_train = data.train_targets
@@ -311,11 +317,12 @@ def learning_comparison_experiment(
             if zero_target:
                 data.targets = np.zeros_like(data.targets)
             schedule = default_schedule(data.train_idx.size, schedule_points)
-            curve = learning_curve(dec, data, schedule, ridge=ridge)
+            g_train = self_gram(dec, data.train_inputs)
+            k_ct = cross_gram(dec, data.test_inputs, data.train_inputs)
+            curve = _curve(g_train, k_ct, data, schedule, ridge)
             if zero_target:
                 align = 0.0
             else:
-                g_train = self_gram(dec, data.train_inputs)
                 align = kernel_target_alignment(g_train, data.train_targets)
             for m, mse in zip(curve.column("m"), curve.column("mse")):
                 table.add(label, inst, m, mse, align)

@@ -114,8 +114,13 @@ class StandardFormCircuit:
         n = int(d["n"])
         dim = 2**n
         ws = []
-        for flat in d["W"]:
+        for j, flat in enumerate(d["W"]):
             arr = np.asarray(flat, dtype=float)
+            if arr.shape != (2 * dim * dim,):
+                raise StructuralError(
+                    f"circuit field W[{j}] must hold 2*4^n = {2 * dim * dim} "
+                    f"floats, got shape {arr.shape}"
+                )
             ws.append((arr[0::2] + 1j * arr[1::2]).reshape(dim, dim))
         encodings = [
             [PreprocessingFn.from_json_dict(f) for f in row] for row in d["phi"]

@@ -9,6 +9,11 @@ An MPO stores one rank-4 tensor per site with index order
 locally purified MPO (LPMPO) stores rank-4 tensors (bond_left, physical,
 purification, bond_right) for an operator X, and represents the positive
 semidefinite core C = X X^dagger.
+
+The Gram contractions (dense_gram, mpo_gram, lpmpo_gram) take bra and ket
+features as one (m, d_k) array per site and return all m x m' values
+<bra_i| C |ket_j> at once; sandwich_contract and lpmpo_sandwich are their
+one-row case.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 from .errors import ResourceCapError, StructuralError
 
 DEFAULT_DENSE_CAP = 4**10  # max number of entries of a materialized matrix
+GRAM_BLOCK_ROWS = 64  # rows a side per block of the batched MPO/LPMPO sweeps
 
 
 @dataclass(frozen=True)
@@ -195,6 +201,76 @@ def mpo_to_dense(mpo: MPO, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     return res[:, :, 0]
 
 
+def _feature_rows(feats, dims, what: str) -> list[np.ndarray]:
+    """Per-site (m, d_k) complex arrays, checked against the site dims."""
+    if len(feats) != len(dims):
+        raise StructuralError(f"number of local vectors must match {what} sites")
+    rows = [np.asarray(f, dtype=complex) for f in feats]
+    m = rows[0].shape[0] if rows[0].ndim == 2 else -1
+    for f, d in zip(rows, dims):
+        if f.shape != (m, d):
+            raise StructuralError(f"local vector dims do not match {what} site dims")
+    return rows
+
+
+def _blocked(sweep, bra, sites, ket) -> np.ndarray:
+    """Run a sweep on every (GRAM_BLOCK_ROWS x GRAM_BLOCK_ROWS) block of
+    bra rows against ket rows, so its intermediates stay bounded."""
+    m, mk, b = bra[0].shape[0], ket[0].shape[0], GRAM_BLOCK_ROWS
+    out = np.empty((m, mk), dtype=complex)
+    for i in range(0, m, b):
+        for j in range(0, mk, b):
+            out[i : i + b, j : j + b] = sweep(
+                [f[i : i + b] for f in bra], sites, [f[j : j + b] for f in ket]
+            )
+    return out
+
+
+def kron_rows(feats) -> np.ndarray:
+    """Kronecker-stacked rows: row i is feats[0][i] (x) feats[1][i] (x) ..."""
+    rows = np.asarray(feats[0], dtype=complex)
+    for f in feats[1:]:
+        rows = (rows[:, :, None] * np.asarray(f)[:, None, :]).reshape(rows.shape[0], -1)
+    return rows
+
+
+def dense_gram(bra_feats, core: np.ndarray, ket_feats) -> np.ndarray:
+    """G[i, j] = <bra_i| C |ket_j> with a dense core, as conj(F) C F'^T on the
+    Kronecker-stacked rows.  feats are per-site (m, d_k) arrays; bra rows are
+    conjugated.  Cost O(m D^2 + m m' D) for core dimension D."""
+    bra = kron_rows(bra_feats)
+    ket = bra if ket_feats is bra_feats else kron_rows(ket_feats)
+    if core.shape != (bra.shape[1], ket.shape[1]):
+        raise StructuralError("feature dimension does not match the dense core")
+    return (bra.conj() @ core) @ ket.T
+
+
+def _mpo_sweep(bra, sites, ket) -> np.ndarray:
+    """One block of mpo_gram.  env[j, i, b] holds ket row j, bra row i and
+    the right bond b of the sites contracted so far."""
+    mi, mj = bra[0].shape[0], ket[0].shape[0]
+    env = np.ones((mj, mi, 1), dtype=complex)
+    for t, fb, fk in zip(sites, bra, ket):
+        chl, d, dk, chr_ = t.shape
+        u = (fk @ t.transpose(2, 0, 1, 3).reshape(dk, -1)).reshape(mj, chl, d * chr_)
+        # ket leg, one matmul per ket row: (mi, chl) @ (chl, d chr)
+        w = (env @ u).reshape(mj, mi, d, chr_).transpose(1, 2, 0, 3)
+        # bra leg, one matmul per bra row: (1, d) @ (d, mj chr)
+        w = fb.conj()[:, None, :] @ w.reshape(mi, d, mj * chr_)
+        env = w.reshape(mi, mj, chr_).transpose(1, 0, 2)
+    return env[:, :, 0].T
+
+
+def mpo_gram(bra_feats, core: MPO, ket_feats) -> np.ndarray:
+    """G[i, j] = <bra_i| C |ket_j> with an MPO core, for per-site (m, d_k)
+    bra and (m', d_k) ket feature arrays; bra rows are conjugated.  The
+    environment sweep carries the sample axes (m, m', chi): cost
+    O(m m' d^2 chi^2) per site, in blocks of GRAM_BLOCK_ROWS rows a side."""
+    bra = _feature_rows(bra_feats, [t.shape[1] for t in core.sites], "MPO")
+    ket = _feature_rows(ket_feats, [t.shape[2] for t in core.sites], "MPO")
+    return _blocked(_mpo_sweep, bra, core.sites, ket)
+
+
 def sandwich_contract(
     bra_locals: list[np.ndarray],
     core: MPO,
@@ -202,19 +278,12 @@ def sandwich_contract(
 ) -> complex:
     """<(x) bra_1 x ... x bra_N | C | ket_1 x ... x ket_N> with an MPO core.
 
-    The bra vectors are conjugated.  Cost is O(d^2 chi^2) per site.
+    The bra vectors are conjugated.  Cost is O(d^2 chi^2) per site; this is
+    the one-row case of mpo_gram.
     """
-    if len(bra_locals) != core.num_sites or len(ket_locals) != core.num_sites:
-        raise StructuralError("number of local vectors must match MPO sites")
-    v = np.ones(1, dtype=complex)
-    for t, bra, ket in zip(core.sites, bra_locals, ket_locals):
-        bra = np.asarray(bra, dtype=complex)
-        ket = np.asarray(ket, dtype=complex)
-        if bra.shape != (t.shape[1],) or ket.shape != (t.shape[2],):
-            raise StructuralError("local vector dims do not match MPO site dims")
-        m = np.einsum("r,arcb,c->ab", bra.conj(), t, ket)
-        v = v @ m
-    return complex(v[0])
+    bra = [np.asarray(v)[None] for v in bra_locals]
+    ket = [np.asarray(v)[None] for v in ket_locals]
+    return complex(mpo_gram(bra, core, ket)[0, 0])
 
 
 def lpmpo_materialize(lp: LPMPO, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
@@ -226,38 +295,45 @@ def lpmpo_materialize(lp: LPMPO, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     return x @ x.conj().T
 
 
+def _lpmpo_sweep(bra, sites, ket) -> np.ndarray:
+    """One block of lpmpo_gram.  env[j, i, a, c] holds ket row j, bra row i,
+    the bond a of X (bra side) and the bond c of conj(X) (ket side)."""
+    mi, mj = bra[0].shape[0], ket[0].shape[0]
+    env = np.ones((mj, mi, 1, 1), dtype=complex)
+    for t, fb, fk in zip(sites, bra, ket):
+        chl, d, p, chr_ = t.shape
+        flat = t.transpose(1, 0, 2, 3).reshape(d, chl * p * chr_)
+        bot = (fk @ flat.conj()).reshape(mj, chl, p * chr_)
+        top = (fb.conj() @ flat).reshape(mi, chl * p, chr_).transpose(0, 2, 1)
+        # ket half, one matmul per ket row: (mi a, c) @ (c, p e)
+        r = (env.reshape(mj, mi * chl, chl) @ bot).reshape(mj, mi, chl * p, chr_)
+        # bra half, one matmul per bra row: (b, a p) @ (a p, mj e)
+        r = top @ r.transpose(1, 2, 0, 3).reshape(mi, chl * p, mj * chr_)
+        env = r.reshape(mi, chr_, mj, chr_).transpose(2, 0, 1, 3)
+    return env[:, :, 0, 0].T
+
+
+def lpmpo_gram(bra_feats, lp: LPMPO, ket_feats) -> np.ndarray:
+    """G[i, j] = <bra_i| X X^dagger |ket_j> via two half-contractions per
+    site, never forming C.  The sweep carries the sample axes
+    (m, m', chi, chi): cost O(m m' p chi^3) per site, in blocks of
+    GRAM_BLOCK_ROWS rows a side."""
+    dims = [t.shape[1] for t in lp.sites]
+    bra = _feature_rows(bra_feats, dims, "LPMPO")
+    ket = _feature_rows(ket_feats, dims, "LPMPO")
+    return _blocked(_lpmpo_sweep, bra, lp.sites, ket)
+
+
 def lpmpo_sandwich(
     bra_locals: list[np.ndarray],
     lp: LPMPO,
     ket_locals: list[np.ndarray],
 ) -> complex:
-    """<bra| X X^dagger |ket> via two half-contractions, never forming C."""
-    if len(bra_locals) != lp.num_sites or len(ket_locals) != lp.num_sites:
-        raise StructuralError("number of local vectors must match LPMPO sites")
-    # transfer matrix over the (X bond, conj X bond) pair
-    env = np.ones((1, 1), dtype=complex)
-    for t, bra, ket in zip(lp.sites, bra_locals, ket_locals):
-        bra = np.asarray(bra, dtype=complex)
-        ket = np.asarray(ket, dtype=complex)
-        if bra.shape != (t.shape[1],) or ket.shape != (t.shape[1],):
-            raise StructuralError("local vector dims do not match LPMPO site dims")
-        top = np.einsum("d,adpb->apb", bra.conj(), t)
-        bot = np.einsum("d,adpb->apb", ket, t.conj())
-        env = np.einsum("ac,apb,cpe->be", env, top, bot)
-    return complex(env[0, 0])
-
-
-def interleave_permutation(structure: SiteStructure) -> np.ndarray:
-    """Index permutation sending plain Kronecker order (all legs of the first
-    factor, then all legs of the second) to interleaved order (odd legs from
-    the first factor, even legs from the second)."""
-    dims = structure.local_dims
-    n = len(dims)
-    idx = np.arange(structure.total_dim**2).reshape(dims + dims)
-    order = []
-    for k in range(n):
-        order += [k, n + k]
-    return idx.transpose(order).ravel()
+    """<bra| X X^dagger |ket> via two half-contractions, never forming C;
+    the one-row case of lpmpo_gram."""
+    bra = [np.asarray(v)[None] for v in bra_locals]
+    ket = [np.asarray(v)[None] for v in ket_locals]
+    return complex(lpmpo_gram(bra, lp, ket)[0, 0])
 
 
 def vertical_tensor_product(

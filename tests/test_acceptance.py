@@ -14,6 +14,7 @@ import pytest
 from conftest import hadamard_circuit, random_circuit
 from etklab.etk import (
     evaluate_real,
+    feature_matrix,
     linear_sum_etk,
     polynomial_etk,
     shift_invariant_etk,
@@ -43,6 +44,7 @@ from etklab.single_layer import (
 from etklab.tensor_core import (
     MPO,
     SiteStructure,
+    kron_rows,
     min_eig_ratio,
     mpo_from_dense,
     mpo_to_dense,
@@ -60,15 +62,11 @@ def report(num, ok, detail):
 
 
 def kernel_values(kernel, X, X2):
-    """Pairwise ETK values via the dense core, vectorized over sample pairs."""
-    core = kernel.dense_core()
-    f1 = np.array(
-        [reduce(np.kron, kernel.local_vectors(x)) for x in X]
-    )
-    f2 = np.array(
-        [reduce(np.kron, kernel.local_vectors(x)) for x in X2]
-    )
-    return np.einsum("pi,ij,pj->p", f1.conj(), core, f2)
+    """Pairwise ETK values K(X[p], X2[p]) via the dense core, on the batched
+    feature matrices of both point lists."""
+    f1 = kron_rows(feature_matrix(kernel, X))
+    f2 = kron_rows(feature_matrix(kernel, X2))
+    return np.einsum("pi,ij,pj->p", f1.conj(), kernel.dense_core(), f2)
 
 
 @pytest.fixture(scope="module")

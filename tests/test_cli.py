@@ -71,6 +71,37 @@ class TestEval:
     def test_missing_file(self, tmp_path):
         assert main(["eval", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_wrong_length_x(self, tmp_path, circuit_file, capsys):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"experiment": "eval", "circuit": circuit_file, "x": [0.0, 1.0],
+             "x2": [0.0]},
+        )
+        assert main(["eval", "--config", cfg]) == 3
+        assert "data dim 1" in capsys.readouterr().err
+
+    def test_nan_x(self, tmp_path, circuit_file, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"experiment": "eval", "circuit": %s, "x": [NaN], "x2": [0.0]}'
+            % json.dumps(circuit_file)
+        )
+        assert main(["eval", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert "finite" in captured.err and "nan" not in captured.out
+
+    def test_wrong_size_unitary(self, tmp_path, capsys):
+        circ = json.loads(hadamard_circuit().to_json())
+        circ["W"][0] = circ["W"][0][:-2]
+        path = tmp_path / "bad_circ.json"
+        path.write_text(json.dumps(circ))
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"experiment": "eval", "circuit": str(path), "x": [0.0], "x2": [0.0]},
+        )
+        assert main(["eval", "--config", cfg]) == 3
+        assert "W[0]" in capsys.readouterr().err
+
 
 class TestExtract:
     def test_hadamard_core(self, tmp_path, circuit_file):

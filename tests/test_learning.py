@@ -109,6 +109,12 @@ class TestTailoredTarget:
         val = target(np.zeros((1, 2)))[0]
         assert abs(val - np.sqrt(target.coefficients).sum()) < 1e-12
 
+    def test_one_point_gives_shape_one(self, rng):
+        dec = haar_like_decomposition(2, rng)
+        target = tailored_target(dec, 4, rng)
+        assert target(np.zeros(2)).shape == (1,)
+        assert target(np.zeros((1, 2))).shape == (1,)
+
     def test_too_many_terms(self, rng):
         dec = haar_like_decomposition(1, rng)
         with pytest.raises(ValidationError):
