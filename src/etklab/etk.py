@@ -43,6 +43,8 @@ from .tensor_core import (
     DEFAULT_DENSE_CAP,
     LPMPO,
     MPO,
+    complex_entries,
+    complex_from_entries,
     dense_gram,
     lpmpo_gram,
     lpmpo_materialize,
@@ -91,6 +93,8 @@ class EtkKernel:
         if isinstance(self.core, np.ndarray):
             if self.core.ndim != 2 or self.core.shape[0] != self.core.shape[1]:
                 raise StructuralError("dense core must be square")
+            if not np.isfinite(self.core).all():
+                raise ValidationError("dense core entries must be finite")
             return self.core.shape[0]
         return math.prod(self.core.local_dims)
 
@@ -210,10 +214,12 @@ def gram_matrix(kernel: EtkKernel, X) -> np.ndarray:
 
 
 def gram_matrix_real(kernel: EtkKernel, X, imag_tol: float = 1e-8) -> np.ndarray:
+    """Real part of gram_matrix as an owned float64 array, so the complex
+    Gram is freed on return."""
     g = gram_matrix(kernel, X)
     if np.abs(g.imag).max() > imag_tol * max(np.abs(g).max(), 1.0):
         raise ValidationError("Gram matrix is not real within tolerance")
-    return g.real
+    return g.real.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +402,7 @@ def etk_to_json(kernel: EtkKernel) -> str:
         core = {
             "kind": "dense",
             "dim": kernel.core.shape[0],
-            "entries": np.column_stack(
-                [kernel.core.real.ravel(), kernel.core.imag.ravel()]
-            ).ravel().tolist(),
+            "entries": complex_entries(kernel.core),
         }
     else:
         core = {"kind": "tn", "payload": json.loads(mpo_to_json(kernel.core))}
@@ -420,8 +424,9 @@ def etk_from_json(text: str) -> EtkKernel:
     cd = d["core"]
     if cd["kind"] == "dense":
         n = int(cd["dim"])
-        arr = np.asarray(cd["entries"], dtype=float)
-        core: CoreTensor = (arr[0::2] + 1j * arr[1::2]).reshape(n, n)
+        core: CoreTensor = complex_from_entries(
+            cd["entries"], (n, n), "kernel field core.entries"
+        )
     else:
         core = mpo_from_json(json.dumps(cd["payload"]))
     return etk_from_feature_set(

@@ -45,6 +45,8 @@ class PreprocessingFn:
             if len(self.weights) != self.input_dim:
                 raise ValidationError("affine weights must match input dim")
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        if not np.isfinite([*self.weights, self.bias]).all():
+            raise ValidationError("pre-processing weights and bias must be finite")
 
     def __call__(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)

@@ -7,10 +7,14 @@ S_j(x) = (x)_k e^{-i phi_jk(x) Z_k / 2}.  Qubit 1 is the most significant bit
 of the statevector index; layer 1 is the most significant block of the
 flattened N = nL site index.
 
-The extraction chain builds dense operators O', rho, A = O' (Hadamard) rho^T
-on 2^N dimensions, then the 3^N x 3^N real symmetric PSD core C_T, either via
-the 4^N intermediate C = A^T (vertical tensor) A and the per-site isometry P,
-or via rescaled Pauli-transfer-matrix traces over {I, X, Y} strings.
+The extraction chain turns the operators O', rho and A = O' (Hadamard) rho^T
+on 2^N dimensions into the 3^N x 3^N real symmetric PSD core C_T.  O' and rho
+are Kronecker products of rank-one factors and one identity I_{2^n}, so
+A = U U^dagger with U only 2^N x 2^n wide.  The production route "ptm" (taken
+by "auto" for every N <= 7) computes C_T[i, j] = 2^N Tr(P_i A P_j A) over
+{I, X, Y} strings from U alone, in O(3^N 2^N 2^n + 9^N 4^n).  The route
+"dense" (N <= 5) is the test oracle: it forms the 4^N intermediate
+C = A^T (vertical tensor) A and applies the per-site isometry P.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .feature_maps import LocalFeatureSet, PreprocessingFn, isometry_P
 from .tensor_core import (
     DEFAULT_DENSE_CAP,
     SiteStructure,
+    complex_entries,
+    complex_from_entries,
     hadamard_product,
     vertical_tensor_product,
 )
@@ -56,6 +62,8 @@ class StandardFormCircuit:
         for w in self.unitaries:
             if w.shape != (dim, dim):
                 raise StructuralError(f"unitary must be {dim}x{dim}")
+            if not np.isfinite(w).all():
+                raise ValidationError("fixed unitary entries must be finite")
             if np.abs(w.conj().T @ w - np.eye(dim)).max() > 1e-12:
                 raise ValidationError("fixed unitary is not unitary within 1e-12")
         for row in self.encodings:
@@ -96,12 +104,7 @@ class StandardFormCircuit:
             {
                 "n": self.n,
                 "L": self.num_layers,
-                "W": [
-                    np.column_stack([w.real.ravel(), w.imag.ravel()])
-                    .ravel()
-                    .tolist()
-                    for w in self.unitaries
-                ],
+                "W": [complex_entries(w) for w in self.unitaries],
                 "phi": [
                     [fn.to_json_dict() for fn in row] for row in self.encodings
                 ],
@@ -113,15 +116,10 @@ class StandardFormCircuit:
         d = json.loads(text)
         n = int(d["n"])
         dim = 2**n
-        ws = []
-        for j, flat in enumerate(d["W"]):
-            arr = np.asarray(flat, dtype=float)
-            if arr.shape != (2 * dim * dim,):
-                raise StructuralError(
-                    f"circuit field W[{j}] must hold 2*4^n = {2 * dim * dim} "
-                    f"floats, got shape {arr.shape}"
-                )
-            ws.append((arr[0::2] + 1j * arr[1::2]).reshape(dim, dim))
+        ws = [
+            complex_from_entries(flat, (dim, dim), f"circuit field W[{j}]")
+            for j, flat in enumerate(d["W"])
+        ]
         encodings = [
             [PreprocessingFn.from_json_dict(f) for f in row] for row in d["phi"]
         ]
@@ -181,13 +179,6 @@ def _run_circuit(circ: StandardFormCircuit, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Extraction chain
 
-def _phi_projector(n: int) -> np.ndarray:
-    """Unnormalized maximally entangled |Phi><Phi| = sum |ii><jj| on 2n qubits."""
-    dim = 2**n
-    vec = np.eye(dim, dtype=complex).ravel()  # |Phi> = sum_i |i>|i>
-    return np.outer(vec, vec)
-
-
 def _check_site_cap(num_sites: int, cap: int, what: str):
     if (2**num_sites) ** 2 > cap:
         raise ResourceCapError(
@@ -195,44 +186,51 @@ def _check_site_cap(num_sites: int, cap: int, what: str):
         )
 
 
+def _O_prime_factor(circ: StandardFormCircuit) -> np.ndarray:
+    """V_O with O' = V_O V_O^dagger: the Kronecker product of one column
+    (W_{2j}^dagger (x) I)|Phi> per layer pair, |Phi> = sum_i |ii>, then
+    I_{2^n} when L is odd."""
+    eye = [np.eye(2**circ.n, dtype=complex)] if circ.num_layers % 2 else []
+    cols = [w.conj().T.reshape(-1, 1) for w in circ.unitaries[1::2]]
+    return reduce(np.kron, cols + eye)
+
+
+def _rho_factor(circ: StandardFormCircuit) -> np.ndarray:
+    """V_rho with rho = V_rho V_rho^dagger: the Kronecker product of
+    psi = W_1|0>, one column (I (x) W_{2j+1})|Phi> per layer pair, then
+    I_{2^n} when L is even."""
+    eye = [] if circ.num_layers % 2 else [np.eye(2**circ.n, dtype=complex)]
+    cols = [w.T.reshape(-1, 1) for w in circ.unitaries[2::2]]
+    return reduce(np.kron, [circ.unitaries[0][:, :1]] + cols + eye)
+
+
 def build_O_prime(circ: StandardFormCircuit, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Fixed-unitary observable O' on 2^N; Hermitian PSD."""
-    n, L = circ.n, circ.num_layers
     _check_site_cap(circ.num_sites, cap, "O'")
-    ident = np.eye(2**n, dtype=complex)
-    phi = _phi_projector(n)
-    factors = []
-    for j in range(1, (L - 1) // 2 + 1 if L % 2 else L // 2 + 1):
-        w = circ.unitaries[2 * j - 1]  # W_{2j}
-        m = np.kron(w.conj().T, ident) @ phi @ np.kron(w, ident)
-        factors.append(m)
-    if L % 2:
-        factors.append(ident)
-    return reduce(np.kron, factors)
+    v = _O_prime_factor(circ)
+    return v @ v.conj().T
 
 
 def build_rho(circ: StandardFormCircuit, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Initial-state operator rho on 2^N; Hermitian PSD."""
-    n, L = circ.n, circ.num_layers
     _check_site_cap(circ.num_sites, cap, "rho")
-    ident = np.eye(2**n, dtype=complex)
-    phi = _phi_projector(n)
-    w1 = circ.unitaries[0]
-    psi = w1[:, 0]
-    factors = [np.outer(psi, psi.conj())]
-    upper = (L - 1) // 2 if L % 2 else L // 2 - 1
-    for j in range(1, upper + 1):
-        w = circ.unitaries[2 * j]  # W_{2j+1}
-        m = np.kron(ident, w) @ phi @ np.kron(ident, w.conj().T)
-        factors.append(m)
-    if L % 2 == 0:
-        factors.append(ident)
-    return reduce(np.kron, factors)
+    v = _rho_factor(circ)
+    return v @ v.conj().T
 
 
 def build_A(circ: StandardFormCircuit, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """A = O' (Hadamard) rho^T; Hermitian PSD by the Schur product theorem."""
     return hadamard_product(build_O_prime(circ, cap), build_rho(circ, cap).T)
+
+
+def factor_A(circ: StandardFormCircuit) -> np.ndarray:
+    """U (2^N x 2^n) with A = U U^dagger: U[r, (s, t)] = V_O[r, s] conj(V_rho[r, t]).
+
+    Exactly one of V_O, V_rho carries the factor I_{2^n}; the other is one
+    column, so rank(A) <= 2^n.
+    """
+    vo, vr = _O_prime_factor(circ), _rho_factor(circ)
+    return (vo[:, :, None] * vr.conj()[:, None, :]).reshape(vo.shape[0], -1)
 
 
 def full_diag_vector(circ: StandardFormCircuit, x: np.ndarray) -> np.ndarray:
@@ -251,57 +249,39 @@ def trace_form_kernel(circ: StandardFormCircuit, x, x2) -> float:
     return float(abs(s1.conj() @ a @ s2) ** 2)
 
 
-def _trit_strings(num_sites: int) -> np.ndarray:
-    """(3^N, N) array of trit digits, site 1 most significant."""
-    idx = np.arange(3**num_sites)
-    out = np.empty((idx.size, num_sites), dtype=np.int64)
-    for k in range(num_sites - 1, -1, -1):
-        out[:, k] = idx % 3
-        idx = idx // 3
-    return out
+# Per site, (sigma v)[b] = phase[t, b] v[src[t, b]] for sigma_t in (I, X, Y).
+_SITE_SRC = np.array([[0, 1], [1, 0], [1, 0]])
+_SITE_PHASE = np.array([[1, 1], [1, 1], [-1j, 1j]])
 
 
-def _pauli_apply_block(
-    a: np.ndarray, trits: np.ndarray, transpose: bool
-) -> np.ndarray:
-    """Rows vec(P_i A) (or vec((P_i A)^T)) for a block of {I,X,Y} strings.
-
-    Left-multiplying by a Pauli string over {I, X, Y} is a row permutation
-    with phases: X flips a bit; Y flips a bit with phase -i (bit 0) / +i.
-    """
-    num_sites = trits.shape[1]
-    dim = 2**num_sites
-    rows = np.arange(dim)
-    bit_vals = 1 << np.arange(num_sites - 1, -1, -1)  # site 1 most significant
-    out = np.empty((trits.shape[0], dim * dim), dtype=complex)
-    for t in range(trits.shape[0]):
-        s = trits[t]
-        flip = int(np.sum(bit_vals[s != 0]))
-        ymask = int(np.sum(bit_vals[s == 2]))
-        ny = int(np.count_nonzero(s == 2))
-        parity = _popcount(rows & ymask) & 1
-        phases = ((-1.0) ** parity) * ((-1j) ** ny)
-        b = phases[:, None] * a[rows ^ flip, :]
-        out[t] = (b.T if transpose else b).ravel()
-    return out
-
-
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(arr)
-    v = arr.copy()
-    while np.any(v):
-        out += v & 1
-        v >>= 1
-    return out
+def _pauli_rows(num_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """(src, phase), both (3^N, 2^N), with (P_i v)[r] = phase[i, r] v[src[i, r]]
+    for every string i over {I, X, Y}; site 1 is the most significant digit
+    of both i and r."""
+    src = np.zeros((1, 1), dtype=np.intp)
+    phase = np.ones((1, 1), dtype=complex)
+    for _ in range(num_sites):
+        src = 2 * src[:, None, :, None] + _SITE_SRC[None, :, None, :]
+        src = src.reshape(3 * phase.shape[0], -1)
+        phase = np.kron(phase, _SITE_PHASE)
+    return src, phase
 
 
 def build_core_CT(
     circ: StandardFormCircuit,
     route: str = "ptm",
     cap: int = DEFAULT_DENSE_CAP,
-    chunk: int = 256,
 ) -> np.ndarray:
-    """Real symmetric PSD core C_T (3^N x 3^N) of the circuit's ETK."""
+    """Real symmetric PSD core C_T (3^N x 3^N) of the circuit's ETK.
+
+    Route "ptm": C_T[i, j] = 2^N Tr(P_i A P_j A) = 2^N Tr(E_i E_j) with
+    E_i = U^dagger P_i U from A = U U^dagger (``factor_A``), so
+    C_T = 2^N Re(E E^dagger) for E reshaped to (3^N, 4^n); cost
+    O(3^N 2^N 2^n + 9^N 4^n).  E is built in blocks of at most 3^N x 2^N
+    entries, which is one block unless L = 1.  Route "dense" (the oracle)
+    contracts the 4^N intermediate C = A^T (vertical tensor) A with the
+    per-site isometry P.
+    """
     num_sites = circ.num_sites
     if route == "dense":
         if num_sites > DENSE_ROUTE_MAX_SITES:
@@ -320,16 +300,19 @@ def build_core_CT(
                 f"ptm route supports up to {PTM_ROUTE_MAX_SITES} sites "
                 f"(got {num_sites})"
             )
-        a = build_A(circ, cap)
-        trits = _trit_strings(num_sites)
-        m = trits.shape[0]
-        ct = np.empty((m, m), dtype=complex)
-        scale = float(2**num_sites)
-        for i0 in range(0, m, chunk):
-            v1 = _pauli_apply_block(a, trits[i0 : i0 + chunk], transpose=False)
-            for j0 in range(0, m, chunk):
-                v2 = _pauli_apply_block(a, trits[j0 : j0 + chunk], transpose=True)
-                ct[i0 : i0 + chunk, j0 : j0 + chunk] = scale * (v1 @ v2.T)
+        u = factor_A(circ)
+        src, phase = _pauli_rows(num_sites)
+        rows, dim = u.shape
+        step = max(1, rows // dim)  # blocks of E hold at most 3^N x 2^N
+        ct = None
+        for a0 in range(0, dim, step):
+            # rows a0 .. a0 + step - 1 of every E_i, gathered for all i at once
+            e = np.hstack(
+                [(phase * u[src, a]).conj() @ u for a in range(a0, min(a0 + step, dim))]
+            )
+            block = e @ e.conj().T
+            ct = block if ct is None else ct + block
+        ct *= 2.0**num_sites
     else:
         raise ValidationError(f"unknown route {route!r}")
     imag = np.abs(ct.imag).max()
@@ -344,9 +327,9 @@ def etk_from_circuit(
     circ: StandardFormCircuit, route: str = "auto", cap: int = DEFAULT_DENSE_CAP
 ) -> EtkKernel:
     """Exact ETK with trig local features and core C_T; evaluation of this
-    kernel reproduces the statevector fidelity."""
+    kernel reproduces the statevector fidelity.  Route "auto" is "ptm"."""
     if route == "auto":
-        route = "dense" if circ.num_sites <= DENSE_ROUTE_MAX_SITES else "ptm"
+        route = "ptm"
     ct = build_core_CT(circ, route=route, cap=cap)
     return etk_from_feature_set(
         circ.feature_set(), ct.astype(complex), basis="T", psd_verified=True

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceCapError, StructuralError
+from .errors import ResourceCapError, StructuralError, ValidationError
 
 DEFAULT_DENSE_CAP = 4**10  # max number of entries of a materialized matrix
 GRAM_BLOCK_ROWS = 64  # rows a side per block of the batched MPO/LPMPO sweeps
@@ -62,6 +62,11 @@ def min_eig_ratio(m: np.ndarray) -> float:
     return float(w.min() / tr)
 
 
+def _check_finite(arrays, what: str):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValidationError(f"{what} entries must be finite")
+
+
 @dataclass
 class MPO:
     """Matrix product operator: rank-4 site tensors (chi_l, row, col, chi_r)."""
@@ -75,6 +80,7 @@ class MPO:
         for t in self.sites:
             if t.ndim != 4:
                 raise StructuralError("MPO site tensors must have 4 indices")
+        _check_finite(self.sites, "MPO")
         if self.sites[0].shape[0] != 1 or self.sites[-1].shape[-1] != 1:
             raise StructuralError("boundary bond dimensions must be 1")
         for a, b in zip(self.sites, self.sites[1:]):
@@ -111,6 +117,7 @@ class LPMPO:
         for t in self.sites:
             if t.ndim != 4:
                 raise StructuralError("LPMPO site tensors must have 4 indices")
+        _check_finite(self.sites, "LPMPO")
         if self.sites[0].shape[0] != 1 or self.sites[-1].shape[-1] != 1:
             raise StructuralError("boundary bond dimensions must be 1")
         for a, b in zip(self.sites, self.sites[1:]):
@@ -371,7 +378,8 @@ def hadamard_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-def _entries(t: np.ndarray) -> list[float]:
+def complex_entries(t: np.ndarray) -> list[float]:
+    """Entries of a complex array as a flat list of interleaved (re, im)."""
     flat = np.asarray(t, dtype=complex).ravel()
     out = np.empty(2 * flat.size)
     out[0::2] = flat.real
@@ -379,9 +387,19 @@ def _entries(t: np.ndarray) -> list[float]:
     return out.tolist()
 
 
-def _from_entries(entries: list[float], dims: list[int]) -> np.ndarray:
-    arr = np.asarray(entries, dtype=float)
-    return (arr[0::2] + 1j * arr[1::2]).reshape(dims)
+def complex_from_entries(entries, shape, field: str) -> np.ndarray:
+    """Inverse of complex_entries; a list that is not 2 * prod(shape) floats
+    raises StructuralError naming the JSON field."""
+    size = 2 * math.prod(shape)
+    try:
+        arr = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"{field} must be a flat list of floats") from exc
+    if arr.shape != (size,):
+        raise StructuralError(
+            f"{field} must hold {size} floats, got shape {arr.shape}"
+        )
+    return (arr[0::2] + 1j * arr[1::2]).reshape(shape)
 
 
 def mpo_to_json(op: MPO | LPMPO) -> str:
@@ -389,7 +407,8 @@ def mpo_to_json(op: MPO | LPMPO) -> str:
     payload = {
         "kind": kind,
         "sites": [
-            {"dims": list(t.shape), "entries": _entries(t)} for t in op.sites
+            {"dims": list(t.shape), "entries": complex_entries(t)}
+            for t in op.sites
         ],
     }
     return json.dumps(payload)
@@ -397,7 +416,10 @@ def mpo_to_json(op: MPO | LPMPO) -> str:
 
 def mpo_from_json(text: str) -> MPO | LPMPO:
     payload = json.loads(text)
-    sites = [_from_entries(s["entries"], s["dims"]) for s in payload["sites"]]
+    sites = [
+        complex_from_entries(s["entries"], s["dims"], f"operator site {k} entries")
+        for k, s in enumerate(payload["sites"])
+    ]
     if payload["kind"] == "mpo":
         return MPO(sites)
     if payload["kind"] == "lpmpo":

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import hadamard_circuit, random_circuit
 from etklab.cli import main
-from etklab.etk import etk_from_json
+from etklab.etk import etk_from_json, etk_to_json
+from etklab.quantum import etk_from_circuit
 
 
 def write_config(path, payload):
@@ -101,6 +102,49 @@ class TestEval:
         )
         assert main(["eval", "--config", cfg]) == 3
         assert "W[0]" in capsys.readouterr().err
+
+    def test_ragged_unitary(self, tmp_path, capsys):
+        circ = json.loads(hadamard_circuit().to_json())
+        circ["W"][0] = [circ["W"][0][:4], circ["W"][0][4:7]]
+        path = tmp_path / "bad_circ.json"
+        path.write_text(json.dumps(circ))
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"experiment": "eval", "circuit": str(path), "x": [0.0], "x2": [0.0]},
+        )
+        assert main(["eval", "--config", cfg]) == 3
+        assert "W[0]" in capsys.readouterr().err
+
+    def test_short_dense_core(self, tmp_path, capsys):
+        kernel = json.loads(etk_to_json(etk_from_circuit(hadamard_circuit())))
+        kernel["core"]["entries"] = kernel["core"]["entries"][:8]
+        captured = run_kernel_eval(tmp_path, capsys, kernel)
+        assert "core.entries" in captured.err
+
+    def test_nan_dense_core(self, tmp_path, capsys):
+        kernel = json.loads(etk_to_json(etk_from_circuit(hadamard_circuit())))
+        kernel["core"]["entries"][0] = float("nan")
+        captured = run_kernel_eval(tmp_path, capsys, kernel)
+        assert "finite" in captured.err and "nan" not in captured.out
+
+    def test_inf_weight(self, tmp_path, capsys):
+        kernel = json.loads(etk_to_json(etk_from_circuit(hadamard_circuit())))
+        kernel["feature_set"][0].update(kind="affine", weights=[float("inf")])
+        captured = run_kernel_eval(tmp_path, capsys, kernel)
+        assert "finite" in captured.err and "nan" not in captured.out
+
+
+def run_kernel_eval(tmp_path, capsys, kernel):
+    """Run `eval` on a kernel JSON (NaN and Infinity written as JSON allows);
+    it must exit 3.  Returns the captured output."""
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(kernel))
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        {"experiment": "eval", "kernel": str(path), "x": [0.0], "x2": [0.0]},
+    )
+    assert main(["eval", "--config", cfg]) == 3
+    return capsys.readouterr()
 
 
 class TestExtract:

@@ -109,6 +109,12 @@ class TestGramMatrix:
         g = gram_matrix_real(k, xs)
         assert min_eig_ratio(g.astype(complex)) >= -1e-8
 
+    def test_gram_real_owns_its_data(self, rng):
+        # a view of the complex Gram would keep twice the bytes alive
+        k = t_basis_kernel(2, np.eye(9, dtype=complex))
+        g = gram_matrix_real(k, [rng.uniform(-np.pi, np.pi, 2) for _ in range(4)])
+        assert g.dtype == np.float64 and g.flags.owndata and g.base is None
+
 
 class TestPolynomialEtk:
     def test_simple_arithmetic(self):

@@ -46,6 +46,12 @@ class TestPreprocessingFn:
         with pytest.raises(ValidationError):
             PreprocessingFn(kind="fourier", input_dim=1)
 
+    def test_non_finite_weights_and_bias(self):
+        with pytest.raises(ValidationError, match="finite"):
+            PreprocessingFn(kind="affine", input_dim=2, weights=(1.0, np.nan))
+        with pytest.raises(ValidationError, match="finite"):
+            PreprocessingFn(kind="affine", input_dim=1, weights=(1.0,), bias=np.inf)
+
     def test_json_roundtrip(self):
         fn = PreprocessingFn(
             kind="affine", input_dim=3, weights=(1.0, 0.0, 2.0), bias=-1.0

@@ -54,6 +54,11 @@ class TestSimulateKernel:
         with pytest.raises(ValidationError):
             coordinate_circuit(1, [np.array([[1.0, 0.0], [0.0, 2.0]])])
 
+    def test_nan_unitary_rejected(self):
+        # NaN passes the unitarity check, since NaN > 1e-12 is False
+        with pytest.raises(ValidationError, match="finite"):
+            coordinate_circuit(1, [np.array([[1.0, 0.0], [0.0, np.nan]])])
+
 
 class TestExtractionOperators:
     def test_single_layer_identities(self, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from etklab.errors import ResourceCapError, StructuralError
+from etklab.errors import ResourceCapError, StructuralError, ValidationError
 from etklab.tensor_core import (
     LPMPO,
     MPO,
@@ -33,6 +33,15 @@ def random_mpo(dims, chi, rng):
             rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         )
     return MPO(sites)
+
+
+@pytest.mark.parametrize("cls", [MPO, LPMPO])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_site_entries_rejected(cls, bad):
+    site = np.ones((1, 2, 2, 1), dtype=complex)
+    site[0, 1, 0, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        cls([np.ones((1, 2, 2, 1)), site])
 
 
 class TestMpoFromDense:
