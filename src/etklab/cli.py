@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .etk import etk_from_json, evaluate_real
+from .etk import etk_from_json, etk_to_json, evaluate_real
 from .learning import learning_comparison_experiment
 from .mercer import mercer_decompose
 from .quantum import (
@@ -132,6 +132,13 @@ def _parse_models(raw) -> list:
     return models
 
 
+def _point(cfg: dict, key: str) -> np.ndarray:
+    try:
+        return np.asarray(cfg[key], dtype=float)
+    except ValueError as exc:
+        raise SchemaError(f"{key} must be a flat list of numbers") from exc
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -140,8 +147,7 @@ def cmd_eval(args) -> int:
     _check_keys(cfg, {"experiment", "x", "x2"}, {"circuit", "kernel", "route"})
     if ("circuit" in cfg) == ("kernel" in cfg):
         raise SchemaError("exactly one of 'circuit' or 'kernel' is required")
-    x = np.asarray(cfg["x"], dtype=float)
-    x2 = np.asarray(cfg["x2"], dtype=float)
+    x, x2 = _point(cfg, "x"), _point(cfg, "x2")
     if "circuit" in cfg:
         circ = StandardFormCircuit.from_json(_read_text(cfg["circuit"]))
         kernel = etk_from_circuit(circ, route=cfg.get("route", "auto"))
@@ -167,8 +173,6 @@ def cmd_extract(args) -> int:
     out = _out_dir(args)
     name = cfg.get("output", "core")
     path = out / f"{name}.json"
-    from .etk import etk_to_json
-
     with open(path, "w", newline="") as fh:
         fh.write(etk_to_json(kernel))
     print(f"wrote {path}")

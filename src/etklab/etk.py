@@ -36,6 +36,7 @@ from .feature_maps import (
     PreprocessingFn,
     eval_local_E,
     eval_local_T,
+    int_from_json,
     local_trig_components,
     trig_features,
 )
@@ -152,16 +153,14 @@ def _sample_rows(X, data_dim: int) -> np.ndarray:
 def feature_matrix(kernel: EtkKernel, X) -> list[np.ndarray]:
     """Local features of every row of X: one (m, local_dims[k]) array per site.
 
-    Feature-set kernels compute phi = X w + b once per site for all rows;
-    other kernels call each site's feature map once per row.  Rows must be
-    finite and data_dim wide.
+    Feature-set kernels take the (m, N) site angles of all rows and their
+    trig features in one call each; other kernels call each site's feature
+    map once per row.  Rows must be finite and data_dim wide.
     """
     X = _sample_rows(X, kernel.data_dim)
     if kernel.feature_set is not None:
-        return [
-            trig_features(fn.angles(X), kernel.basis)
-            for fn in kernel.feature_set.maps
-        ]
+        feats = trig_features(kernel.feature_set.angles(X), kernel.basis)
+        return [feats[:, k] for k in range(kernel.num_sites)]
     feats = []
     for f, d in zip(kernel.site_features, kernel.local_dims):
         rows = [np.asarray(f(x), dtype=complex) for x in X]
@@ -417,13 +416,16 @@ def etk_to_json(kernel: EtkKernel) -> str:
 
 
 def etk_from_json(text: str) -> EtkKernel:
-    d = json.loads(text)
-    fs = LocalFeatureSet(
-        tuple(PreprocessingFn.from_json_dict(f) for f in d["feature_set"])
-    )
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise StructuralError(f"kernel JSON is malformed: {exc}") from exc
+    maps = [PreprocessingFn.from_json_dict(f, f"kernel field feature_set[{k}]")
+            for k, f in enumerate(d["feature_set"])]
+    fs = LocalFeatureSet(tuple(maps))
     cd = d["core"]
     if cd["kind"] == "dense":
-        n = int(cd["dim"])
+        n = int_from_json(cd["dim"], "kernel field core.dim")
         core: CoreTensor = complex_from_entries(
             cd["entries"], (n, n), "kernel field core.entries"
         )

@@ -8,7 +8,8 @@ phi feeds two local feature vectors:
 
 The two are linked by the constant 4x3 isometry P via E = 2 P T.  Both are
 computed by ``trig_features``, for one angle or for an array of angles;
-``PreprocessingFn.angles`` gives the angles of many data rows at once.
+``LocalFeatureSet.angles`` gives the (m, N) site angles of many data rows at
+once: the one path from data rows to site angles.
 """
 
 from __future__ import annotations
@@ -49,16 +50,11 @@ class PreprocessingFn:
             raise ValidationError("pre-processing weights and bias must be finite")
 
     def __call__(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.input_dim,):
-            raise StructuralError(
-                f"input dim {x.shape} does not match declared {self.input_dim}"
-            )
-        return float(self.angles(x[None])[0])
+        """phi of one point, the one-row case of angles."""
+        return float(self.angles(np.asarray(x, dtype=float)[None])[0])
 
     def angles(self, X: np.ndarray) -> np.ndarray:
-        """phi of every row of an (m, input_dim) array, as an (m,) array;
-        calling the function on one point is the one-row case."""
+        """phi of every row of an (m, input_dim) array, as an (m,) array."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise StructuralError(
@@ -80,11 +76,11 @@ class PreprocessingFn:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "PreprocessingFn":
+    def from_json_dict(cls, d: dict, field: str = "phi") -> "PreprocessingFn":
         return cls(
             kind=d["kind"],
-            input_dim=int(d["input_dim"]),
-            index=int(d.get("index", 0)),
+            input_dim=int_from_json(d["input_dim"], f"{field}.input_dim"),
+            index=int_from_json(d.get("index", 0), f"{field}.index"),
             weights=tuple(d.get("weights", ())),
             bias=float(d.get("bias", 0.0)),
         )
@@ -112,6 +108,17 @@ class LocalFeatureSet:
     @property
     def input_dim(self) -> int:
         return self.maps[0].input_dim
+
+    def angles(self, X: np.ndarray) -> np.ndarray:
+        """(m, N) site angles of the (m, input_dim) rows X; column k is map k's."""
+        return np.stack([fn.angles(X) for fn in self.maps], axis=1)
+
+
+def int_from_json(value, field: str) -> int:
+    """A JSON integer; any other value raises StructuralError naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise StructuralError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
 def trig_features(phi, basis: str = "T") -> np.ndarray:
@@ -158,18 +165,6 @@ def isometry_P() -> np.ndarray:
         ],
         dtype=complex,
     ) / np.sqrt(2.0)
-
-
-def eval_product_feature(
-    feature_set: LocalFeatureSet, x: np.ndarray, basis: str = "T"
-) -> list[np.ndarray]:
-    """Per-site local feature vectors; the 3^N (or 4^N) tensor product is
-    never materialized here, consumers contract it lazily."""
-    if basis == "T":
-        return [eval_local_T(fn, x) for fn in feature_set.maps]
-    if basis == "E":
-        return [eval_local_E(fn, x) for fn in feature_set.maps]
-    raise ValidationError(f"unknown basis {basis!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ S_j(x) = (x)_k e^{-i phi_jk(x) Z_k / 2}.  Qubit 1 is the most significant bit
 of the statevector index; layer 1 is the most significant block of the
 flattened N = nL site index.
 
+The statevector oracle ``simulate_states`` runs all data rows at once from
+the site angles of ``LocalFeatureSet.angles``, as ``etk.feature_matrix`` does,
+with qubit signs s = 1 - 2 bit; ``simulate_kernel`` is its two-row case.
+
 The extraction chain turns the operators O', rho and A = O' (Hadamard) rho^T
 on 2^N dimensions into the 3^N x 3^N real symmetric PSD core C_T.  O' and rho
 are Kronecker products of rank-one factors and one identity I_{2^n}, so
@@ -20,7 +24,6 @@ C = A^T (vertical tensor) A and applies the per-site isometry P.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
@@ -28,8 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ResourceCapError, StructuralError, ValidationError
-from .etk import EtkKernel, etk_from_feature_set
-from .feature_maps import LocalFeatureSet, PreprocessingFn, isometry_P
+from .etk import EtkKernel, _sample_rows, etk_from_feature_set
+from .feature_maps import LocalFeatureSet, PreprocessingFn, int_from_json, isometry_P
 from .tensor_core import (
     DEFAULT_DENSE_CAP,
     SiteStructure,
@@ -69,9 +72,7 @@ class StandardFormCircuit:
         for row in self.encodings:
             if len(row) != self.n:
                 raise StructuralError("each layer needs n pre-processing functions")
-        dims = {fn.input_dim for row in self.encodings for fn in row}
-        if len(dims) != 1:
-            raise ValidationError("all encodings must share the data dimension")
+        self.feature_set()  # all encodings must share the data dimension
 
     @property
     def num_layers(self) -> int:
@@ -91,14 +92,6 @@ class StandardFormCircuit:
             tuple(fn for row in self.encodings for fn in row)
         )
 
-    def layer_diag(self, j: int, x: np.ndarray) -> np.ndarray:
-        """Diagonal of S_j(x) as a 2^n vector (qubit 1 most significant)."""
-        d = np.ones(1, dtype=complex)
-        for fn in self.encodings[j]:
-            phi = fn(x)
-            d = np.kron(d, np.array([np.exp(-1j * phi / 2), np.exp(1j * phi / 2)]))
-        return d
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -113,15 +106,19 @@ class StandardFormCircuit:
 
     @classmethod
     def from_json(cls, text: str) -> "StandardFormCircuit":
-        d = json.loads(text)
-        n = int(d["n"])
-        dim = 2**n
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise StructuralError(f"circuit JSON is malformed: {exc}") from exc
+        n = int_from_json(d["n"], "circuit field n")
         ws = [
-            complex_from_entries(flat, (dim, dim), f"circuit field W[{j}]")
+            complex_from_entries(flat, (2**n, 2**n), f"circuit field W[{j}]")
             for j, flat in enumerate(d["W"])
         ]
         encodings = [
-            [PreprocessingFn.from_json_dict(f) for f in row] for row in d["phi"]
+            [PreprocessingFn.from_json_dict(f, f"circuit field phi[{j}][{q}]")
+             for q, f in enumerate(row)]
+            for j, row in enumerate(d["phi"])
         ]
         return cls(n=n, unitaries=ws, encodings=encodings)
 
@@ -151,29 +148,33 @@ def coordinate_circuit(
     return StandardFormCircuit(n=n, unitaries=unitaries, encodings=encodings)
 
 
-def simulate_kernel(
-    circ: StandardFormCircuit,
-    x: np.ndarray,
-    x2: np.ndarray,
-    cap_qubits: int = STATEVECTOR_CAP_QUBITS,
-) -> float:
-    """Fidelity kernel |<0| U(x)^dag U(x') |0>|^2 by exact statevector."""
+def simulate_states(
+    circ: StandardFormCircuit, X, cap_qubits: int = STATEVECTOR_CAP_QUBITS
+) -> np.ndarray:
+    """States U(x)|0> of every row of X, as an (m, 2^n) array.
+
+    Each layer is one matmul and one phase multiply on all rows, v <- (v @
+    W_j^T) * exp(-i/2 Phi_j s^T), with Phi_j layer j's (m, n) site angles and
+    s the (2^n, n) qubit signs s = 1 - 2 bit, qubit 1 the most significant.
+    """
     if circ.n > cap_qubits:
-        raise ResourceCapError(
-            f"{circ.n} qubits exceeds statevector cap {cap_qubits}"
-        )
-    v1 = _run_circuit(circ, np.asarray(x, dtype=float))
-    v2 = _run_circuit(circ, np.asarray(x2, dtype=float))
-    return float(abs(np.vdot(v1, v2)) ** 2)
-
-
-def _run_circuit(circ: StandardFormCircuit, x: np.ndarray) -> np.ndarray:
-    v = np.zeros(2**circ.n, dtype=complex)
-    v[0] = 1.0
-    for j in range(circ.num_layers):
-        v = circ.unitaries[j] @ v
-        v = circ.layer_diag(j, x) * v
+        raise ResourceCapError(f"{circ.n} qubits exceeds statevector cap {cap_qubits}")
+    X = _sample_rows(X, circ.data_dim)
+    phi = circ.feature_set().angles(X).reshape(len(X), circ.num_layers, circ.n)
+    signs = 1 - 2 * ((np.arange(2**circ.n)[:, None] >> np.arange(circ.n)[::-1]) & 1)
+    v = np.zeros((len(X), 2**circ.n), dtype=complex)
+    v[:, 0] = 1.0
+    for j, w in enumerate(circ.unitaries):
+        v = (v @ w.T) * np.exp(-0.5j * (phi[:, j] @ signs.T))
     return v
+
+
+def simulate_kernel(
+    circ: StandardFormCircuit, x, x2, cap_qubits: int = STATEVECTOR_CAP_QUBITS
+) -> float:
+    """Fidelity |<0| U(x)^dag U(x') |0>|^2, the two-row case of simulate_states."""
+    v = simulate_states(circ, [x, x2], cap_qubits)
+    return float(abs(np.vdot(v[0], v[1])) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +235,15 @@ def factor_A(circ: StandardFormCircuit) -> np.ndarray:
 
 
 def full_diag_vector(circ: StandardFormCircuit, x: np.ndarray) -> np.ndarray:
-    """Diagonal of S(x) = (x)_j S_j(x) as a 2^N vector."""
-    x = np.asarray(x, dtype=float)
-    return reduce(
-        np.kron, [circ.layer_diag(j, x) for j in range(circ.num_layers)]
-    )
+    """Diagonal of S(x): kron over sites k of (e^{-i phi_k/2}, e^{i phi_k/2})."""
+    phi = circ.feature_set().angles(np.asarray(x, dtype=float)[None])[0]
+    return reduce(np.kron, [np.exp([-0.5j * p, 0.5j * p]) for p in phi])
 
 
 def trace_form_kernel(circ: StandardFormCircuit, x, x2) -> float:
     """|Tr[rho S^dag(x) O' S(x')]|^2 = |<S(x)| A |S(x')>|^2 (oracle route)."""
     a = build_A(circ)
-    s1 = full_diag_vector(circ, np.asarray(x, dtype=float))
-    s2 = full_diag_vector(circ, np.asarray(x2, dtype=float))
+    s1, s2 = full_diag_vector(circ, x), full_diag_vector(circ, x2)
     return float(abs(s1.conj() @ a @ s2) ** 2)
 
 

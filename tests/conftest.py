@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from etklab.quantum import StandardFormCircuit, coordinate_circuit
 from etklab.single_layer import haar_unitary
+
+# Property tests draw the same examples on every run, however long each takes.
+settings.register_profile("etklab", derandomize=True, deadline=None)
+settings.load_profile("etklab")
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 

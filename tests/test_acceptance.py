@@ -66,7 +66,7 @@ def kernel_values(kernel, X, X2):
     feature matrices of both point lists."""
     f1 = kron_rows(feature_matrix(kernel, X))
     f2 = kron_rows(feature_matrix(kernel, X2))
-    return np.einsum("pi,ij,pj->p", f1.conj(), kernel.dense_core(), f2)
+    return ((f1.conj() @ kernel.dense_core()) * f2).sum(1)
 
 
 @pytest.fixture(scope="module")

@@ -25,7 +25,6 @@ from etklab.feature_maps import LocalFeatureSet, PreprocessingFn, isometry_P
 from etklab.learning import cross_gram
 from etklab.tensor_core import GRAM_BLOCK_ROWS, LPMPO, MPO
 
-SETTINGS = settings(derandomize=True, max_examples=15, deadline=None)
 REL_TOL = 1e-12
 
 
@@ -111,7 +110,7 @@ def check_grams(kernel, X, Y):
 
 @pytest.mark.parametrize("basis", ["T", "E"])
 @pytest.mark.parametrize("core_kind", ["dense", "mpo", "lpmpo"])
-@SETTINGS
+@settings(max_examples=15)
 @given(
     seed=st.integers(0, 2**32 - 1),
     map_kinds=st.lists(st.sampled_from(["coordinate", "affine", "zero"]),
@@ -130,7 +129,7 @@ def test_feature_set_kernels_match_oracle(seed, core_kind, basis, map_kinds,
 
 
 @pytest.mark.parametrize("kind", ["polynomial", "linear_sum", "shift_invariant"])
-@SETTINGS
+@settings(max_examples=15)
 @given(
     seed=st.integers(0, 2**32 - 1),
     data_dim=st.integers(1, 3),

@@ -20,7 +20,6 @@ from etklab.quantum import (
 )
 from etklab.tensor_core import min_eig_ratio
 
-SETTINGS = settings(derandomize=True, max_examples=20, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
 # (n, L) with n <= 3 and N = n L <= 5: every N up to the dense route's cap
 small_shapes = st.sampled_from(
@@ -37,7 +36,7 @@ def circuit(seed, shape, data_dim=None):
     return random_circuit(n, layers, np.random.default_rng(seed), data_dim=data_dim)
 
 
-@SETTINGS
+@settings(max_examples=20)
 @given(seed=seeds, shape=small_shapes)
 def test_matches_dense_route(seed, shape):
     circ = circuit(seed, shape)
@@ -46,7 +45,7 @@ def test_matches_dense_route(seed, shape):
     assert np.abs(ptm - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
-@SETTINGS
+@settings(max_examples=20)
 @given(seed=seeds, shape=ptm_shapes)
 def test_factor_reproduces_A(seed, shape):
     circ = circuit(seed, shape)
@@ -56,7 +55,7 @@ def test_factor_reproduces_A(seed, shape):
     assert np.abs(u @ u.conj().T - a).max() <= 1e-12 * np.abs(a).max()
 
 
-@SETTINGS
+@settings(max_examples=20)
 @given(seed=seeds, shape=ptm_shapes)
 def test_core_is_real_symmetric_psd(seed, shape):
     ct = build_core_CT(circuit(seed, shape), route="ptm")
@@ -73,7 +72,7 @@ def assert_matches_statevector(circ, rng, m=6):
     assert np.abs(cross_gram(kernel, X, X2) - oracle).max() <= 1e-9
 
 
-@SETTINGS
+@settings(max_examples=20)
 @given(seed=seeds, shape=ptm_shapes, data_dim=st.integers(1, 3))
 def test_etk_matches_statevector(seed, shape, data_dim):
     # data_dim < N makes several sites read the same coordinate

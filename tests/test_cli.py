@@ -115,6 +115,51 @@ class TestEval:
         assert main(["eval", "--config", cfg]) == 3
         assert "W[0]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("x", "abc"), ("x2", [[1.0], [2.0, 3.0]])])
+    def test_non_numeric_x(self, tmp_path, circuit_file, capsys, key, value):
+        payload = {"experiment": "eval", "circuit": circuit_file, "x": [0.0],
+                   "x2": [0.0]}
+        payload[key] = value
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert main(["eval", "--config", cfg]) == 3
+        assert f"{key} must be" in capsys.readouterr().err
+
+    def test_circuit_not_json(self, tmp_path, capsys):
+        path = tmp_path / "bad_circ.json"
+        path.write_text("not json")
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"experiment": "eval", "circuit": str(path), "x": [0.0], "x2": [0.0]},
+        )
+        assert main(["eval", "--config", cfg]) == 3
+        assert "circuit JSON is malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["n", "phi[0][0].input_dim"])
+    def test_non_integer_circuit_field(self, tmp_path, capsys, field):
+        circ = json.loads(hadamard_circuit().to_json())
+        if field == "n":
+            circ["n"] = "one"
+        else:
+            circ["phi"][0][0]["input_dim"] = "two"
+        path = tmp_path / "bad_circ.json"
+        path.write_text(json.dumps(circ))
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"experiment": "eval", "circuit": str(path), "x": [0.0], "x2": [0.0]},
+        )
+        assert main(["eval", "--config", cfg]) == 3
+        assert f"circuit field {field} must be an integer" in capsys.readouterr().err
+
+    def test_kernel_not_json(self, tmp_path, capsys):
+        path = tmp_path / "kernel.json"
+        path.write_text("{")
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"experiment": "eval", "kernel": str(path), "x": [0.0], "x2": [0.0]},
+        )
+        assert main(["eval", "--config", cfg]) == 3
+        assert "kernel JSON is malformed" in capsys.readouterr().err
+
     def test_short_dense_core(self, tmp_path, capsys):
         kernel = json.loads(etk_to_json(etk_from_circuit(hadamard_circuit())))
         kernel["core"]["entries"] = kernel["core"]["entries"][:8]

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from etklab.errors import ValidationError
+from etklab.etk import etk_from_feature_set, feature_matrix
 from etklab.feature_maps import (
     LocalFeatureSet,
     PreprocessingFn,
     eval_local_E,
     eval_local_T,
-    eval_product_feature,
     isometry_P,
     local_trig_components,
     trig_conj,
@@ -115,12 +115,20 @@ class TestIsometryP:
         assert np.abs(w - np.array([0.0, 1.0, 1.0, 1.0])).max() < 1e-13
 
 
+def product_feature(fs, x, basis):
+    """Per-site local features of one point: the one-row feature_matrix of a
+    kernel on the feature set."""
+    dim = {"T": 3, "E": 4}[basis] ** fs.num_sites
+    kernel = etk_from_feature_set(fs, np.eye(dim), basis=basis)
+    return [f[0] for f in feature_matrix(kernel, [x])]
+
+
 class TestProductFeature:
     def test_two_zero_maps(self):
         fs = LocalFeatureSet(
             (PreprocessingFn(kind="zero", input_dim=1),) * 2
         )
-        vecs = eval_product_feature(fs, np.zeros(1), basis="T")
+        vecs = product_feature(fs, np.zeros(1), basis="T")
         assert len(vecs) == 2
         for v in vecs:
             assert np.abs(v - np.array([1.0, 1.0, 0.0]) / SQ2).max() < 1e-15
@@ -128,7 +136,7 @@ class TestProductFeature:
     def test_single_map_matches_local(self, rng):
         fs = LocalFeatureSet((coord(),))
         x = rng.uniform(-np.pi, np.pi, 1)
-        (v,) = eval_product_feature(fs, x, basis="E")
+        (v,) = product_feature(fs, x, basis="E")
         assert np.abs(v - eval_local_E(fs.maps[0], x)).max() < 1e-15
 
     def test_full_product_unit_norm(self, rng):
@@ -137,7 +145,7 @@ class TestProductFeature:
         maps = tuple(coord(4, k % 4) for k in range(5))
         fs = LocalFeatureSet(maps)
         x = rng.uniform(-np.pi, np.pi, 4)
-        vecs = eval_product_feature(fs, x, basis="T")
+        vecs = product_feature(fs, x, basis="T")
         full = reduce(np.kron, vecs)
         assert abs(np.linalg.norm(full) - 1.0) < 1e-13
 
