@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 I/O error, 3 config schema error (including bad
 points and malformed circuit or kernel fields), 4 resource cap.
 CSV files are the source of truth; SVG figures are derived conveniences.
-Identical config + seed produce byte-identical CSV regardless of --threads.
+Identical config + seed produce byte-identical CSV.  --threads is validated
+but otherwise ignored: no command starts worker threads or processes.
 """
 
 from __future__ import annotations
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (results are thread-count invariant)")
+                       help="ignored (must be >= 1): no command starts workers")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     return parser

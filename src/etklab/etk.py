@@ -32,13 +32,12 @@ import numpy as np
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .feature_maps import (
+    SHIFTS,
     LocalFeatureSet,
     PreprocessingFn,
     eval_local_E,
     eval_local_T,
     int_from_json,
-    local_trig_components,
-    trig_features,
 )
 from .tensor_core import (
     DEFAULT_DENSE_CAP,
@@ -67,8 +66,9 @@ class EtkKernel:
     feature vector of dimension local_dims[k].  When feature_set is given,
     the site features are its pre-processing functions' features in
     `basis`, and feature_matrix computes them for many rows at once.
-    site_trig optionally stores each local component as a trigonometric
-    polynomial ({freq tuple: coeff}) for exact Fourier inner products
+    Feature-set kernels carry their Fourier form in the feature set; other
+    kernels may give it in site_trig, one (M_k, Omega_k) factor per site as
+    in feature_maps.fourier_factor, for exact Fourier inner products
     downstream.
     """
 
@@ -79,7 +79,7 @@ class EtkKernel:
     basis: str = "custom"
     feature_set: Optional[LocalFeatureSet] = None
     psd_verified: bool = False
-    site_trig: Optional[list[list[dict]]] = None
+    site_trig: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
     dense_cap: int = DEFAULT_DENSE_CAP
 
     def __post_init__(self):
@@ -123,18 +123,6 @@ class EtkKernel:
             return lpmpo_materialize(self.core, cap=cap)
         return mpo_to_dense(self.core, cap=cap)
 
-    def component_functions(self) -> list[dict]:
-        """Trigonometric representations of all product components, ordered
-        with site 1 as the most significant index digit."""
-        from .feature_maps import trig_mul
-
-        if self.site_trig is None:
-            raise ValidationError("kernel has no trigonometric representation")
-        comps = [{(0.0,) * self.data_dim: 1.0}]
-        for site in self.site_trig:
-            comps = [trig_mul(c, t) for c in comps for t in site]
-        return comps
-
 
 def _sample_rows(X, data_dim: int) -> np.ndarray:
     try:
@@ -159,8 +147,7 @@ def feature_matrix(kernel: EtkKernel, X) -> list[np.ndarray]:
     """
     X = _sample_rows(X, kernel.data_dim)
     if kernel.feature_set is not None:
-        feats = trig_features(kernel.feature_set.angles(X), kernel.basis)
-        return [feats[:, k] for k in range(kernel.num_sites)]
+        return kernel.feature_set.features(X, kernel.basis)
     feats = []
     for f, d in zip(kernel.site_features, kernel.local_dims):
         rows = [np.asarray(f(x), dtype=complex) for x in X]
@@ -320,9 +307,7 @@ def shift_invariant_etk(coeffs) -> EtkKernel:
             )
 
         feats.append(feat)
-        trig.append(
-            [{(-float(scale),): 1.0}, {(0.0,): 1.0}, {(float(scale),): 1.0}]
-        )
+        trig.append((np.eye(3), scale * SHIFTS[:, None]))
 
     total = 3**n_sites
     diag = np.zeros(total)
@@ -362,7 +347,6 @@ def etk_from_feature_set(
     feats = [
         (lambda x, fn=fn: evaluator(fn, x)) for fn in feature_set.maps
     ]
-    trig = [local_trig_components(fn, basis) for fn in feature_set.maps]
     return EtkKernel(
         site_features=feats,
         local_dims=(dim,) * feature_set.num_sites,
@@ -371,7 +355,6 @@ def etk_from_feature_set(
         basis=basis,
         feature_set=feature_set,
         psd_verified=psd_verified,
-        site_trig=trig,
     )
 
 

@@ -10,11 +10,16 @@ The two are linked by the constant 4x3 isometry P via E = 2 P T.  Both are
 computed by ``trig_features``, for one angle or for an array of angles;
 ``LocalFeatureSet.angles`` gives the (m, N) site angles of many data rows at
 once: the one path from data rows to site angles.
+
+``fourier_factor`` writes a site's features as a small matrix M over the
+terms e^{i s phi}, s in {-1, 0, 1}; ``fourier_gram`` gives the exact Gram of
+all products of site features, under the uniform measure, from those factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -113,6 +118,11 @@ class LocalFeatureSet:
         """(m, N) site angles of the (m, input_dim) rows X; column k is map k's."""
         return np.stack([fn.angles(X) for fn in self.maps], axis=1)
 
+    def features(self, X: np.ndarray, basis: str = "T") -> list[np.ndarray]:
+        """Local features of the rows X in `basis`: one (m, d) array per site."""
+        feats = trig_features(self.angles(X), basis)
+        return [feats[:, k] for k in range(self.num_sites)]
+
 
 def int_from_json(value, field: str) -> int:
     """A JSON integer; any other value raises StructuralError naming it."""
@@ -168,84 +178,59 @@ def isometry_P() -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Trigonometric-polynomial representations (exact Fourier bookkeeping)
+# Fourier form of the local features (exact inner products)
 
-def _freq_of(fn: PreprocessingFn) -> tuple[tuple[float, ...], float]:
-    """Frequency vector w and offset b with phi(x) = w.x + b."""
-    d = fn.input_dim
+SHIFTS = np.array([-1.0, 0.0, 1.0])
+
+# Rows: the basis's local features; columns: e^{i s phi} for s in SHIFTS.
+_FOURIER_ROWS = {
+    "T": np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.5j, 0.0, -0.5j]])
+    / np.sqrt(2.0),
+    "E": np.array(
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    ),
+}
+
+
+def fourier_factor(fn: PreprocessingFn, basis: str = "T") -> tuple[np.ndarray, np.ndarray]:
+    """Site factor (M, Omega) of fn's local features in `basis`.
+
+    With phi(x) = w.x + b, local feature c equals sum_s M[c, s] e^{i Omega[s].x}
+    over the three terms s in SHIFTS: Omega[s] = s w, and the bias phase
+    e^{i s b} is folded into M (3 x 3 in the T basis, 4 x 3 in the E basis).
+    """
+    if basis not in _FOURIER_ROWS:
+        raise ValidationError(f"unknown basis {basis!r}")
     if fn.kind == "zero":
-        return (0.0,) * d, 0.0
-    if fn.kind == "coordinate":
-        w = [0.0] * d
-        w[fn.index] = 1.0
-        return tuple(w), 0.0
-    return tuple(fn.weights), fn.bias
+        w, b = np.zeros(fn.input_dim), 0.0
+    elif fn.kind == "coordinate":
+        w, b = np.eye(fn.input_dim)[fn.index], 0.0
+    else:
+        w, b = np.asarray(fn.weights), fn.bias
+    return _FOURIER_ROWS[basis] * np.exp(1j * SHIFTS * b), np.outer(SHIFTS, w)
 
 
-def local_trig_components(fn: PreprocessingFn, basis: str = "T") -> list[dict]:
-    """Each local feature component as {frequency tuple: coefficient}.
+def fourier_gram(factors) -> np.ndarray:
+    """Gram <F_p, F_q> = int conj(F_p) F_q dmu, mu uniform on [-pi, pi]^d, of
+    the Kronecker-product components F of per-site factors (M_k, Omega_k),
+    site 1 the most significant index digit.
 
-    A component f(x) = sum_w c_w e^{i w.x} is stored as a dict; products of
-    components convolve the dicts, and inner products under the uniform
-    measure on [-pi, pi]^d follow in closed form.
+    The components expand as C = (x)_k M_k over the terms with site-summed
+    frequencies Omega, so G = conj(C) S C^T with S[s, t] = prod_d
+    sinc(Omega[t, d] - Omega[s, d]), since (1/2pi) int e^{i delta x} dx =
+    sinc(delta): exact for integer frequencies and closed-form for real ones.
+    Terms of equal frequency are merged first, so S is over the distinct
+    site-summed frequencies only (25 rather than 81 for two coordinates
+    encoded twice each).
     """
-    w, b = _freq_of(fn)
-    neg = tuple(-wi for wi in w)
-    eb = np.exp(1j * b)
-    s = np.sqrt(2.0)
-    if basis == "T":
-        return [
-            {(0.0,) * len(w): 1.0 / s},
-            trig_add({w: eb / (2 * s)}, {neg: np.conj(eb) / (2 * s)}),
-            trig_add({w: eb / (2j * s)}, {neg: -np.conj(eb) / (2j * s)}),
-        ]
-    if basis == "E":
-        return [
-            {(0.0,) * len(w): 1.0},
-            {w: eb},
-            {neg: np.conj(eb)},
-        ]
-    raise ValidationError(f"unknown basis {basis!r}")
-
-
-def trig_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0.0) + v
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def trig_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            out[k] = out.get(k, 0.0) + va * vb
-    return out
-
-
-def trig_conj(a: dict) -> dict:
-    return {tuple(-x for x in k): np.conj(v) for k, v in a.items()}
-
-
-def trig_eval(a: dict, x: np.ndarray) -> complex:
-    x = np.asarray(x, dtype=float)
-    return sum(v * np.exp(1j * float(np.dot(k, x))) for k, v in a.items())
-
-
-def trig_inner(a: dict, b: dict) -> complex:
-    """<a, b> = int conj(a) b dmu with mu uniform on [-pi, pi]^d.
-
-    Uses (1/2pi) int e^{i delta x} dx = sinc(delta); exact for integer
-    frequency differences and still closed-form for real ones.
-    """
-    total = 0.0 + 0.0j
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            w = np.conj(va) * vb
-            for da, db in zip(ka, kb):
-                w = w * np.sinc(db - da)
-                if w == 0:
-                    break
-            total += w
-    return complex(total)
+    terms = reduce(np.kron, [m for m, _ in factors])
+    omega = factors[0][1]
+    for _, om in factors[1:]:
+        omega = (omega[:, None, :] + om[None, :, :]).reshape(-1, omega.shape[1])
+    omega, index = np.unique(omega, axis=0, return_inverse=True)
+    coeffs = np.zeros((terms.shape[0], omega.shape[0]), dtype=complex)
+    np.add.at(coeffs.T, index.ravel(), terms.T)
+    s = np.ones((omega.shape[0],) * 2)
+    for col in omega.T:
+        s *= np.sinc(col[None, :] - col[:, None])
+    return coeffs.conj() @ s @ coeffs.T

@@ -8,8 +8,9 @@ space against the component Gram matrix, detecting linear dependence;
 independent block; (4) diagonalization, yielding non-negative eigenvalues
 with orthonormal eigenfunctions.
 
-Inner products are over a declared measure: exact Fourier bookkeeping for
-trigonometric components on [-pi, pi]^d with the uniform measure, tensorized
+Inner products are over a declared measure: exact Fourier inner products
+for trigonometric components on [-pi, pi]^d with the uniform measure (one
+array product over per-site factors, feature_maps.fourier_gram), tensorized
 Gauss-Legendre quadrature, or Monte Carlo.
 """
 
@@ -17,14 +18,16 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .etk import EtkKernel
-from .feature_maps import trig_eval, trig_inner
+from .etk import EtkKernel, feature_matrix
+from .feature_maps import fourier_factor, fourier_gram
+from .tensor_core import kron_rows
 
 
 # ---------------------------------------------------------------------------
@@ -37,18 +40,11 @@ class AnalyticFourierProvider:
     kind = "analytic-fourier"
 
     def gram(self, basis: "FunctionBasis") -> np.ndarray:
-        if basis.trig is None:
+        if basis.fourier is None:
             raise ValidationError(
                 "analytic Fourier provider needs trigonometric components"
             )
-        d = len(basis.trig)
-        g = np.empty((d, d), dtype=complex)
-        for i in range(d):
-            for j in range(i, d):
-                v = trig_inner(basis.trig[i], basis.trig[j])
-                g[i, j] = v
-                g[j, i] = np.conj(v)
-        return g
+        return fourier_gram(basis.fourier)
 
 
 class QuadratureProvider:
@@ -101,28 +97,27 @@ class MonteCarloProvider:
 
 @dataclass
 class FunctionBasis:
-    """Component functions with a declared inner-product provider."""
+    """Component functions with a declared inner-product provider.
 
-    funcs: list[Callable[[np.ndarray], complex]]
+    The components are the Kronecker products of per-site values:
+    features(X) returns one (m, d_k) array per site for the (m, data_dim)
+    rows X, and component i has site 1 as its most significant index digit.
+    fourier optionally gives the same sites as (M_k, Omega_k) factors (see
+    feature_maps.fourier_factor) for exact Fourier inner products.
+    """
+
+    features: Callable[[np.ndarray], list[np.ndarray]]
     data_dim: int
     provider: object
-    trig: Optional[list[dict]] = None
-
-    @property
-    def size(self) -> int:
-        return len(self.funcs)
+    fourier: Optional[Sequence[tuple[np.ndarray, np.ndarray]]] = None
 
     def eval_matrix(self, pts: np.ndarray) -> np.ndarray:
         """(num_points, num_components) matrix of component values."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        out = np.empty((pts.shape[0], self.size), dtype=complex)
-        for j, f in enumerate(self.funcs):
-            out[:, j] = [f(p) for p in pts]
-        return out
+        return kron_rows(self.features(np.atleast_2d(np.asarray(pts, dtype=float))))
 
     def eval_components(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.array([f(x) for f in self.funcs], dtype=complex)
+        """Component values at one point, the one-row case of eval_matrix."""
+        return self.eval_matrix(x)[0]
 
     def gram(self) -> np.ndarray:
         g = self.provider.gram(self)
@@ -136,36 +131,21 @@ class FunctionBasis:
 def basis_from_etk(kernel: EtkKernel, provider: Optional[object] = None) -> FunctionBasis:
     """Component-function basis of an ETK's product feature map.
 
-    Uses exact Fourier inner products when all components carry a
-    trigonometric representation, otherwise Gauss-Legendre quadrature.
+    Uses exact Fourier inner products when every site has a Fourier form,
+    otherwise Gauss-Legendre quadrature.
     """
-    trig = None
-    if kernel.site_trig is not None:
-        trig = kernel.component_functions()
-        funcs = [(lambda x, t=t: trig_eval(t, x)) for t in trig]
+    if kernel.feature_set is not None:
+        fs = kernel.feature_set
+        features = partial(fs.features, basis=kernel.basis)
+        fourier = [fourier_factor(fn, kernel.basis) for fn in fs.maps]
     else:
-        dims = kernel.local_dims
-
-        def make(idx):
-            def f(x):
-                vecs = kernel.local_vectors(x)
-                rem, out = idx, 1.0 + 0.0j
-                for k in range(len(dims) - 1, -1, -1):
-                    out *= vecs[k][rem % dims[k]]
-                    rem //= dims[k]
-                return out
-
-            return f
-
-        total = int(np.prod(dims))
-        funcs = [make(i) for i in range(total)]
+        features = partial(feature_matrix, kernel)
+        fourier = kernel.site_trig
     if provider is None:
         provider = (
-            AnalyticFourierProvider() if trig is not None else QuadratureProvider()
+            AnalyticFourierProvider() if fourier is not None else QuadratureProvider()
         )
-    return FunctionBasis(
-        funcs=funcs, data_dim=kernel.data_dim, provider=provider, trig=trig
-    )
+    return FunctionBasis(features, kernel.data_dim, provider, fourier)
 
 
 # ---------------------------------------------------------------------------
@@ -178,18 +158,29 @@ class GramSchmidtResult:
     independent: list[int]  # original component indices, in processed order
     dependent: list[int]
     alphas: np.ndarray  # (num_dependent, rank): F_dep = sum alphas . F_indep
-    gram: np.ndarray  # component Gram in original order
+    basis: FunctionBasis  # the orthonormalized components
 
     @property
     def perm(self) -> list[int]:
         return self.independent + self.dependent
+
+    @property
+    def num_components(self) -> int:
+        return self.rank + len(self.dependent)
+
+    @property
+    def gram(self) -> np.ndarray:
+        """Component Gram in original order, recomputed from the basis: a
+        kept result does not hold the num_components^2 matrix."""
+        return self.basis.gram()
 
 
 def gram_schmidt_basis(basis: FunctionBasis, dep_tol: float = 1e-8) -> GramSchmidtResult:
     """Orthonormalize the components against their Gram matrix.
 
     Components whose residual norm falls below dep_tol times their own norm
-    are declared linearly dependent and expanded over the independents.
+    are declared linearly dependent and expanded over the independents, and
+    so are components whose own norm is at rounding level (zero functions).
     """
     if dep_tol <= 0:
         raise ValidationError("dep_tol must be positive")
@@ -220,7 +211,10 @@ def gram_schmidt_basis(basis: FunctionBasis, dep_tol: float = 1e-8) -> GramSchmi
                 c = c - coef * rvec
         norm = np.linalg.norm(v)
         own = np.linalg.norm(w[:, i])
-        if norm <= dep_tol * max(own, 1e-300):
+        # a zero function has an exactly zero Gram row, but eigh's rounding
+        # leaves its column at about eps * sqrt(lam.max()), not at zero; any
+        # column below sqrt(floor) is within what the clipping discards
+        if norm <= dep_tol * own or own <= np.sqrt(floor):
             dependent.append(i)
             alpha, *_ = np.linalg.lstsq(
                 w[:, independent], w[:, i], rcond=None
@@ -245,7 +239,7 @@ def gram_schmidt_basis(basis: FunctionBasis, dep_tol: float = 1e-8) -> GramSchmi
         independent=independent,
         dependent=dependent,
         alphas=alphas,
-        gram=g,
+        basis=basis,
     )
 
 
@@ -256,7 +250,7 @@ def pad_L(gs: GramSchmidtResult) -> np.ndarray:
     """Invertible lower-triangular L over permuted order (independents first):
     top block l_tilde, dependent row i carrying -alpha and a unit diagonal.
     L |F_perm(x)> = (e_1(x), ..., e_rank(x), 0, ..., 0)."""
-    d = gs.gram.shape[0]
+    d = gs.num_components
     out = np.zeros((d, d), dtype=complex)
     out[: gs.rank, : gs.rank] = gs.l_tilde
     for a in range(len(gs.dependent)):
@@ -271,7 +265,7 @@ def pad_L(gs: GramSchmidtResult) -> np.ndarray:
 def transform_truncate(core: np.ndarray, gs: GramSchmidtResult) -> np.ndarray:
     """C_tilde = upper-left rank block of (L^dag)^{-1} C_perm L^{-1}."""
     core = np.asarray(core, dtype=complex)
-    d = gs.gram.shape[0]
+    d = gs.num_components
     if core.shape != (d, d):
         raise ValidationError("core dimension does not match component count")
     perm = gs.perm
@@ -340,7 +334,7 @@ def diagonalize(
     order = np.argsort(w)[::-1]
     w = w[order]
     u = v.conj().T[order]  # rows: eigenfunction coefficients over e-basis
-    d = gs.gram.shape[0]
+    d = gs.num_components
     coeffs_perm = u @ gs.l_tilde  # over independent components, permuted order
     coeffs = np.zeros((gs.rank, d), dtype=complex)
     coeffs[:, gs.independent] = coeffs_perm

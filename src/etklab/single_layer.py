@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .mercer import (
-    AnalyticFourierProvider,
     FunctionBasis,
     MercerDecomposition,
+    QuadratureProvider,
 )
 from .tables import ResultTable
 
@@ -197,7 +197,9 @@ def spectrum_to_mercer(
 
     The basis is {1} plus {sqrt(2) cos(w.x), sqrt(2) sin(w.x)} per canonical
     frequency; the conjugate pair alpha / alpha-bar contributes its common
-    eigenvalue once to the cosine and once to the sine function.
+    eigenvalue once to the cosine and once to the sine function.  The
+    functions are orthonormal by construction; their basis declares
+    quadrature (n <= 3) for callers that ask it for a Gram anyway.
     """
     if isinstance(terms, tuple):
         eig, omega = terms
@@ -210,31 +212,27 @@ def spectrum_to_mercer(
 
     eigenvalues = [eig[zero_idx]]
     funcs = [lambda x: 1.0 + 0.0j]
-    trig = [{(0.0,) * n: 1.0}]
     freqs: list[tuple[int, ...]] = [(0,) * n]
     kinds = ["cos"]
     s = np.sqrt(2.0)
     for i in np.flatnonzero(keep):
         w = omega[i].astype(float)
-        wt = tuple(float(v) for v in w)
         funcs.append(lambda x, w=w: s * np.cos(float(np.dot(w, x))) + 0.0j)
-        trig.append({wt: s / 2.0, tuple(-v for v in wt): s / 2.0})
         eigenvalues.append(eig[i])
         freqs.append(tuple(int(v) for v in omega[i]))
         kinds.append("cos")
         funcs.append(lambda x, w=w: s * np.sin(float(np.dot(w, x))) + 0.0j)
-        trig.append({wt: s / 2.0j, tuple(-v for v in wt): -s / 2.0j})
         eigenvalues.append(eig[i])
         freqs.append(tuple(int(v) for v in omega[i]))
         kinds.append("sin")
 
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     order = np.argsort(-eigenvalues, kind="stable")
+    funcs = [funcs[i] for i in order]
     basis = FunctionBasis(
-        funcs=[funcs[i] for i in order],
+        lambda X: [np.array([[f(x) for f in funcs] for x in X], dtype=complex)],
         data_dim=n,
-        provider=AnalyticFourierProvider(),
-        trig=[trig[i] for i in order],
+        provider=QuadratureProvider(),
     )
     m = eigenvalues.size
     dec = MercerDecomposition(

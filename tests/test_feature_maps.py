@@ -8,12 +8,9 @@ from etklab.feature_maps import (
     PreprocessingFn,
     eval_local_E,
     eval_local_T,
+    fourier_factor,
+    fourier_gram,
     isometry_P,
-    local_trig_components,
-    trig_conj,
-    trig_eval,
-    trig_inner,
-    trig_mul,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -150,46 +147,54 @@ class TestProductFeature:
         assert abs(np.linalg.norm(full) - 1.0) < 1e-13
 
 
+def fourier_eval(m, omega, x):
+    """Values sum_s M[c, s] e^{i Omega[s].x} of every row c at one point."""
+    return m @ np.exp(1j * omega @ np.asarray(x, dtype=float))
+
+
 class TestTrigComponents:
     def test_local_matches_numeric(self, rng):
         fn = PreprocessingFn(
             kind="affine", input_dim=2, weights=(1.5, -0.7), bias=0.3
         )
-        comps = local_trig_components(fn, basis="T")
-        for _ in range(10):
-            x = rng.uniform(-np.pi, np.pi, 2)
-            t = eval_local_T(fn, x)
-            vals = np.array([trig_eval(c, x) for c in comps])
-            assert np.abs(vals - t).max() < 1e-13
+        for basis, local in (("T", eval_local_T), ("E", eval_local_E)):
+            m, omega = fourier_factor(fn, basis=basis)
+            for _ in range(10):
+                x = rng.uniform(-np.pi, np.pi, 2)
+                vals = fourier_eval(m, omega, x)
+                assert np.abs(vals - local(fn, x)).max() < 1e-13
 
     def test_trig_inner_exact_fourier(self):
+        # rows cos x and cos 2x over the terms e^{ix}, e^{-ix}, e^{2ix}, e^{-2ix}
+        factor = (np.array([[0.5, 0.5, 0, 0], [0, 0, 0.5, 0.5]]),
+                  np.array([[1.0], [-1.0], [2.0], [-2.0]]))
+        g = fourier_gram([factor])
         # <cos x, cos x> = 1/2 on [-pi, pi] with uniform measure
-        c = {(1.0,): 0.5, (-1.0,): 0.5}
-        assert abs(trig_inner(c, c) - 0.5) < 1e-15
+        assert abs(g[0, 0] - 0.5) < 1e-15
         # orthogonal to a different integer frequency
-        d = {(2.0,): 0.5, (-2.0,): 0.5}
-        assert abs(trig_inner(c, d)) < 1e-15
+        assert abs(g[0, 1]) < 1e-15
 
     def test_trig_inner_matches_quadrature(self, rng):
         # non-integer frequencies exercise the sinc-based overlap
-        a = {(1.3,): 0.7 + 0.2j, (-0.4,): 0.1}
-        b = {(0.9,): 0.5, (2.2,): -0.3j}
+        m = np.array([[0.7 + 0.2j, 0.1, 0, 0], [0, 0, 0.5, -0.3j]])
+        omega = np.array([[1.3], [-0.4], [0.9], [2.2]])
         xs, ws = np.polynomial.legendre.leggauss(200)
         xs = xs * np.pi
         num = 0.0
         for x, w in zip(xs, ws):
-            num += w / 2.0 * np.conj(trig_eval(a, np.array([x]))) * trig_eval(
-                b, np.array([x])
-            )
-        assert abs(trig_inner(a, b) - num) < 1e-10
+            a, b = fourier_eval(m, omega, [x])
+            num += w / 2.0 * np.conj(a) * b
+        assert abs(fourier_gram([(m, omega)])[0, 1] - num) < 1e-10
 
-    def test_mul_and_conj(self, rng):
-        a = {(1.0,): 0.5, (-1.0,): 0.5}
-        b = {(0.0,): 1.0, (2.0,): 0.25j}
-        x = rng.uniform(-np.pi, np.pi, 1)
-        assert abs(
-            trig_eval(trig_mul(a, b), x) - trig_eval(a, x) * trig_eval(b, x)
-        ) < 1e-14
-        assert abs(
-            trig_eval(trig_conj(b), x) - np.conj(trig_eval(b, x))
-        ) < 1e-14
+    def test_mul_and_conj(self):
+        # two sites: (cos x, sin x) and (1, 0.25i e^{2ix}); the Gram of their
+        # four products, conj(first) times second, against quadrature
+        site_a = (np.array([[0.5, 0.5], [0.5j, -0.5j]]), np.array([[-1.0], [1.0]]))
+        site_b = (np.array([[1.0, 0], [0, 0.25j]]), np.array([[0.0], [2.0]]))
+        xs, ws = np.polynomial.legendre.leggauss(40)
+        xs = xs * np.pi
+        num = np.zeros((4, 4), dtype=complex)
+        for x, w in zip(xs, ws):
+            f = np.kron(fourier_eval(*site_a, [x]), fourier_eval(*site_b, [x]))
+            num += w / 2.0 * np.outer(f.conj(), f)
+        assert np.abs(fourier_gram([site_a, site_b]) - num).max() < 1e-14

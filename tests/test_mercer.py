@@ -1,10 +1,12 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from conftest import hadamard_circuit, random_circuit
 from etklab.errors import ValidationError
 from etklab.etk import etk_from_feature_set, evaluate
-from etklab.feature_maps import LocalFeatureSet, PreprocessingFn
+from etklab.feature_maps import LocalFeatureSet, PreprocessingFn, isometry_P
 from etklab.mercer import (
     AnalyticFourierProvider,
     FunctionBasis,
@@ -22,16 +24,15 @@ from etklab.mercer import (
 from etklab.quantum import etk_from_circuit, simulate_kernel
 
 
-def fourier_basis(trig_dicts, data_dim=1):
-    funcs = [
-        (lambda x, t=t: sum(c * np.exp(1j * np.dot(f, x)) for f, c in t.items()))
-        for t in trig_dicts
-    ]
+def fourier_basis(coeffs, freqs, provider=None):
+    """Basis of the functions sum_t coeffs[i, t] e^{i freqs[t] x} on [-pi, pi]."""
+    c = np.asarray(coeffs, dtype=complex)
+    om = np.asarray(freqs, dtype=float).reshape(c.shape[1], 1)
     return FunctionBasis(
-        funcs=funcs,
-        data_dim=data_dim,
-        provider=AnalyticFourierProvider(),
-        trig=trig_dicts,
+        lambda X: [np.exp(1j * X @ om.T) @ c.T],
+        data_dim=1,
+        provider=AnalyticFourierProvider() if provider is None else provider,
+        fourier=[(c, om)],
     )
 
 
@@ -55,13 +56,13 @@ def random_trig_etk(rng, num_sites=3):
 
 class TestGramSchmidt:
     def test_already_orthonormal_fourier(self):
-        basis = fourier_basis([{(0.0,): 1.0}, {(-1.0,): 1.0}, {(1.0,): 1.0}])
+        basis = fourier_basis(np.eye(3), [0, -1, 1])
         gs = gram_schmidt_basis(basis)
         assert gs.rank == 3
         assert np.abs(gs.l_tilde - np.eye(3)).max() < 1e-12
 
     def test_duplicated_component(self):
-        basis = fourier_basis([{(1.0,): 1.0}, {(1.0,): 1.0}])
+        basis = fourier_basis([[1.0], [1.0]], [1])
         gs = gram_schmidt_basis(basis)
         assert gs.rank == 1
         assert gs.dependent == [1]
@@ -73,8 +74,9 @@ class TestGramSchmidt:
         def poly(c):
             return lambda x: complex(np.polyval(c, x[0] / np.pi))
 
+        funcs = [poly(c) for c in coeffs]
         basis = FunctionBasis(
-            funcs=[poly(c) for c in coeffs],
+            lambda X: [np.array([[f(x) for f in funcs] for x in X], dtype=complex)],
             data_dim=1,
             provider=QuadratureProvider(),
         )
@@ -87,16 +89,14 @@ class TestGramSchmidt:
 
 class TestPadL:
     def test_full_rank_equals_l_tilde(self):
-        basis = fourier_basis([{(0.0,): 1.0}, {(1.0,): 1.0}])
+        basis = fourier_basis(np.eye(2), [0, 1])
         gs = gram_schmidt_basis(basis)
         assert np.abs(pad_L(gs) - gs.l_tilde).max() < 1e-12
 
     def test_single_layer_four_by_four(self):
         # E-basis components of one site: (1, e^{ix}, e^{-ix}, 1); the fourth
         # duplicates the first, giving -1 in the (4, 1) slot of L.
-        basis = fourier_basis(
-            [{(0.0,): 1.0}, {(1.0,): 1.0}, {(-1.0,): 1.0}, {(0.0,): 1.0}]
-        )
+        basis = fourier_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]], [0, 1, -1])
         gs = gram_schmidt_basis(basis)
         L = pad_L(gs)
         expect = np.eye(4, dtype=complex)
@@ -104,9 +104,7 @@ class TestPadL:
         assert np.abs(L - expect).max() < 1e-10
 
     def test_dependent_component_vanishes(self, rng):
-        basis = fourier_basis(
-            [{(0.0,): 1.0}, {(1.0,): 1.0}, {(1.0,): 0.5, (0.0,): 2.0}]
-        )
+        basis = fourier_basis([[1, 0], [0, 1], [2.0, 0.5]], [0, 1])
         gs = gram_schmidt_basis(basis)
         L = pad_L(gs)
         perm = gs.perm
@@ -119,7 +117,7 @@ class TestPadL:
 
 class TestTransformTruncate:
     def test_identity_L(self, rng):
-        basis = fourier_basis([{(0.0,): 1.0}, {(1.0,): 1.0}, {(-1.0,): 1.0}])
+        basis = fourier_basis(np.eye(3), [0, 1, -1])
         gs = gram_schmidt_basis(basis)
         c = rng.standard_normal((3, 3)).astype(complex)
         c = c + c.conj().T
@@ -128,9 +126,7 @@ class TestTransformTruncate:
     def test_hadamard_single_layer(self):
         # E-basis core of the W=H circuit is I/4 on components
         # (1, e^{ix}, e^{-ix}, 1); the reduced core is diag(1/2, 1/4, 1/4).
-        basis = fourier_basis(
-            [{(0.0,): 1.0}, {(1.0,): 1.0}, {(-1.0,): 1.0}, {(0.0,): 1.0}]
-        )
+        basis = fourier_basis([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]], [0, 1, -1])
         gs = gram_schmidt_basis(basis)
         c_tilde = transform_truncate(np.eye(4, dtype=complex) / 4.0, gs)
         assert np.abs(c_tilde - np.diag([0.5, 0.25, 0.25])).max() < 1e-10
@@ -138,15 +134,13 @@ class TestTransformTruncate:
 
 class TestDiagonalize:
     def test_diagonal_input(self):
-        basis = fourier_basis([{(0.0,): 1.0}, {(1.0,): 1.0}, {(-1.0,): 1.0}])
+        basis = fourier_basis(np.eye(3), [0, 1, -1])
         gs = gram_schmidt_basis(basis)
         dec = diagonalize(np.diag([0.2, 0.5, 0.3]).astype(complex), gs, basis)
         assert np.abs(dec.eigenvalues - np.array([0.5, 0.3, 0.2])).max() < 1e-12
 
     def test_trace_preserved(self, rng):
-        basis = fourier_basis(
-            [{(0.0,): 1.0}, {(1.0,): 1.0}, {(-1.0,): 1.0}, {(2.0,): 1.0}]
-        )
+        basis = fourier_basis(np.eye(4), [0, 1, -1, 2])
         gs = gram_schmidt_basis(basis)
         m = rng.standard_normal((4, 4))
         c = (m @ m.T).astype(complex)
@@ -154,7 +148,7 @@ class TestDiagonalize:
         assert abs(dec.eigenvalues.sum() - np.trace(c).real) < 1e-10
 
     def test_non_hermitian_rejected(self):
-        basis = fourier_basis([{(0.0,): 1.0}, {(1.0,): 1.0}])
+        basis = fourier_basis(np.eye(2), [0, 1])
         gs = gram_schmidt_basis(basis)
         bad = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValidationError):
@@ -200,22 +194,36 @@ class TestFullPipeline:
         g = eigenfunction_gram(dec, gs)
         assert np.abs(g - np.eye(dec.rank)).max() < 1e-6
 
+    def test_e_basis_matches_t_basis(self, rng):
+        # C_E = (x)P/2 C_T (x)P/2^dag gives the same kernel on E = 2 P T
+        circ = random_circuit(1, 2, rng)
+        kernel_t = etk_from_circuit(circ)
+        p = reduce(np.kron, [isometry_P() / 2.0] * 2)
+        core_e = p @ kernel_t.dense_core() @ p.conj().T
+        kernel_e = etk_from_feature_set(circ.feature_set(), core_e, basis="E")
+        dec_t, _ = mercer_decompose(kernel_t)
+        dec_e, gs_e = mercer_decompose(kernel_e)
+        assert gs_e.rank == 9
+        assert np.abs(dec_e.eigenvalues - dec_t.eigenvalues).max() < 1e-12
+        for _ in range(50):
+            x, x2 = rng.uniform(-np.pi, np.pi, (2, 2))
+            rec = reconstruct_kernel(dec_e, x, x2)
+            assert abs(rec - simulate_kernel(circ, x, x2)) < 1e-9
+
     def test_eigenvalues_nonnegative(self, rng):
         kernel = random_trig_etk(rng)
         dec, _ = mercer_decompose(kernel)
         assert dec.eigenvalues.min() >= -1e-10 * dec.eigenvalues.max()
 
     def test_spectrum_invariant_under_component_order(self, rng):
-        basis = fourier_basis(
-            [{(0.0,): 1.0}, {(1.0,): 1.0}, {(-1.0,): 1.0}]
-        )
+        basis = fourier_basis(np.eye(3), [0, 1, -1])
         m = rng.standard_normal((3, 3))
         c = (m @ m.T).astype(complex)
         gs = gram_schmidt_basis(basis)
         dec = diagonalize(transform_truncate(c, gs), gs, basis)
 
         perm = [2, 0, 1]
-        basis_p = fourier_basis([basis.trig[i] for i in perm])
+        basis_p = fourier_basis(np.eye(3)[perm], [0, 1, -1])
         c_p = c[np.ix_(perm, perm)]
         gs_p = gram_schmidt_basis(basis_p)
         dec_p = diagonalize(transform_truncate(c_p, gs_p), gs_p, basis_p)
@@ -224,22 +232,14 @@ class TestFullPipeline:
 
 class TestProviders:
     def test_quadrature_matches_analytic(self):
-        trig = [{(0.0,): 1.0}, {(1.0,): 1.0}, {(-1.0,): 1.0}]
-        analytic = fourier_basis(trig).gram()
-        quad_basis = FunctionBasis(
-            funcs=fourier_basis(trig).funcs,
-            data_dim=1,
-            provider=QuadratureProvider(),
-        )
+        analytic = fourier_basis(np.eye(3), [0, 1, -1]).gram()
+        quad_basis = fourier_basis(np.eye(3), [0, 1, -1], QuadratureProvider())
         assert np.abs(quad_basis.gram() - analytic).max() < 1e-10
 
     def test_monte_carlo_converges(self):
-        trig = [{(0.0,): 1.0}, {(1.0,): 1.0}]
-        analytic = fourier_basis(trig).gram()
-        mc_basis = FunctionBasis(
-            funcs=fourier_basis(trig).funcs,
-            data_dim=1,
-            provider=MonteCarloProvider(samples=20000, seed=5),
+        analytic = fourier_basis(np.eye(2), [0, 1]).gram()
+        mc_basis = fourier_basis(
+            np.eye(2), [0, 1], MonteCarloProvider(samples=20000, seed=5)
         )
         assert np.abs(mc_basis.gram() - analytic).max() < 0.02
 

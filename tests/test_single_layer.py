@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -189,3 +191,19 @@ class TestScalingExperiment:
         for model in (HAAR_MODEL, {"kind": "concentrated", "s": 4}):
             psi2 = sample_psi2(model, 3, rng)
             assert abs(psi2.sum() - 1.0) < 1e-12
+
+
+class TestConcentratedEnsemble:
+    """Criterion 07's ensemble: the largest eigenvalue is the omega = 0 term
+    sum psi^4, which Cauchy-Schwarz bounds below by (1 - eps)^2 / s."""
+
+    @pytest.mark.parametrize("model_idx, s", [(0, 4), (1, 16)])
+    def test_largest_eigenvalue_is_sum_psi4_above_bound(self, model_idx, s):
+        eps = 0.001
+        model = {"kind": "concentrated", "s": s, "eps": eps}
+        for n in range(max(math.ceil(math.log2(s)), 3), 7):
+            for inst in range(30):
+                psi2 = sample_psi2(model, n, instance_rng(700, model_idx, n, inst))
+                largest = spectrum_arrays(psi2)[0].max()
+                assert abs(largest - np.sum(psi2**2)) <= 1e-13
+                assert largest >= (1 - eps) ** 2 / s
