@@ -12,8 +12,10 @@ computed by ``trig_features``, for one angle or for an array of angles;
 once: the one path from data rows to site angles.
 
 ``fourier_factor`` writes a site's features as a small matrix M over the
-terms e^{i s phi}, s in {-1, 0, 1}; ``fourier_gram`` gives the exact Gram of
-all products of site features, under the uniform measure, from those factors.
+terms e^{i s phi}, s in {-1, 0, 1}; ``fourier_form`` expands all products of
+site features over their distinct site-summed frequencies, ``sinc_matrix``
+gives the exact Gram of those exponentials under the uniform measure, and
+``fourier_gram`` the Gram of the products.
 """
 
 from __future__ import annotations
@@ -210,18 +212,15 @@ def fourier_factor(fn: PreprocessingFn, basis: str = "T") -> tuple[np.ndarray, n
     return _FOURIER_ROWS[basis] * np.exp(1j * SHIFTS * b), np.outer(SHIFTS, w)
 
 
-def fourier_gram(factors) -> np.ndarray:
-    """Gram <F_p, F_q> = int conj(F_p) F_q dmu, mu uniform on [-pi, pi]^d, of
-    the Kronecker-product components F of per-site factors (M_k, Omega_k),
-    site 1 the most significant index digit.
+def fourier_form(factors) -> tuple[np.ndarray, np.ndarray]:
+    """Frequency form (Omega, P) of the Kronecker-product components F of
+    per-site factors (M_k, Omega_k), site 1 the most significant index digit:
+    F_i(x) = sum_p P[i, p] e^{i Omega_p . x} over the K distinct site-summed
+    frequencies Omega (K x d); P is D x K.
 
-    The components expand as C = (x)_k M_k over the terms with site-summed
-    frequencies Omega, so G = conj(C) S C^T with S[s, t] = prod_d
-    sinc(Omega[t, d] - Omega[s, d]), since (1/2pi) int e^{i delta x} dx =
-    sinc(delta): exact for integer frequencies and closed-form for real ones.
-    Terms of equal frequency are merged first, so S is over the distinct
-    site-summed frequencies only (25 rather than 81 for two coordinates
-    encoded twice each).
+    The components expand as (x)_k M_k over the terms, and terms of equal
+    frequency are merged, so K is the number of distinct frequencies only (25
+    rather than 81 for two coordinates encoded twice each).
     """
     terms = reduce(np.kron, [m for m, _ in factors])
     omega = factors[0][1]
@@ -230,7 +229,22 @@ def fourier_gram(factors) -> np.ndarray:
     omega, index = np.unique(omega, axis=0, return_inverse=True)
     coeffs = np.zeros((terms.shape[0], omega.shape[0]), dtype=complex)
     np.add.at(coeffs.T, index.ravel(), terms.T)
+    return omega, coeffs
+
+
+def sinc_matrix(omega: np.ndarray) -> np.ndarray:
+    """Gram S[p, q] = int e^{-i Omega_p.x} e^{i Omega_q.x} dmu of the
+    exponentials, mu uniform on [-pi, pi]^d: prod_d sinc(Omega[q, d] -
+    Omega[p, d]), since (1/2pi) int e^{i delta x} dx = sinc(delta); the
+    identity for distinct integer frequencies, closed-form for real ones."""
     s = np.ones((omega.shape[0],) * 2)
     for col in omega.T:
         s *= np.sinc(col[None, :] - col[:, None])
-    return coeffs.conj() @ s @ coeffs.T
+    return s
+
+
+def fourier_gram(factors) -> np.ndarray:
+    """Gram <F_p, F_q> = int conj(F_p) F_q dmu of the components of
+    fourier_form: conj(P) S P^T."""
+    omega, coeffs = fourier_form(factors)
+    return coeffs.conj() @ sinc_matrix(omega) @ coeffs.T

@@ -1,17 +1,26 @@
-"""Four-step Mercer decomposition of entangled tensor kernels.
+"""Mercer decomposition of entangled tensor kernels by one eigenproblem.
 
-Given K(x, x') = <F(x)| C |F(x')> with component functions {F_i}, the steps
-are: (1) Gram-Schmidt orthonormalization of the components in coefficient
-space against the component Gram matrix, detecting linear dependence;
-(2) padding of the orthonormalizing map to an invertible lower-triangular L;
-(3) core transform C_hat = (L^dag)^{-1} C L^{-1} and truncation to the
-independent block; (4) diagonalization, yielding non-negative eigenvalues
-with orthonormal eigenfunctions.
+Write the ETK K(x, x') = <F(x)| C |F(x')> over coordinate functions g with
+F = P g, so that K(x, x') = g(x)^dag Q g(x') with Q = P^dag C P, and let S be
+the Gram of g under the declared measure.  Then eigh(S^1/2 Q S^1/2) =
+V Lambda V^dag gives B = Q S^1/2 V Lambda^-1 with Q = B Lambda B^dag and
+B^dag S B = I: eigenfunction k is sum_p conj(B[p, k]) g_p(x), and the
+eigenvalues are Lambda.  S^1/2 needs no inverse, so a near-singular S only
+shrinks directions that Q's range then ignores.
 
-Inner products are over a declared measure: exact Fourier inner products
-for trigonometric components on [-pi, pi]^d with the uniform measure (one
-array product over per-site factors, feature_maps.fourier_gram), tensorized
-Gauss-Legendre quadrature, or Monte Carlo.
+When every site has a Fourier form, g are the exponentials e^{i Omega_p . x}
+over the K distinct site-summed frequencies (feature_maps.fourier_form) and S
+is their exact sinc matrix under the uniform measure on [-pi, pi]^d (the
+identity for integer frequencies).  Otherwise g are the components themselves
+(P = I) and S is their Gram from an inner-product provider: tensorized
+Gauss-Legendre quadrature or Monte Carlo.
+
+The paper's four-step construction stays below as the test oracle:
+(1) Gram-Schmidt orthonormalization of the components in coefficient space,
+detecting linear dependence; (2) padding of the orthonormalizing map to an
+invertible lower-triangular L; (3) core transform
+C_hat = (L^dag)^{-1} C L^{-1} and truncation to the independent block;
+(4) diagonalization.
 """
 
 from __future__ import annotations
@@ -26,8 +35,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .etk import EtkKernel, feature_matrix
-from .feature_maps import fourier_factor, fourier_gram
+from .feature_maps import fourier_factor, fourier_form, fourier_gram, sinc_matrix
 from .tensor_core import kron_rows
+
+# Eigenvalues with |lambda| at most this fraction of the largest are dropped.
+EIG_CUTOFF = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +161,117 @@ def basis_from_etk(kernel: EtkKernel, provider: Optional[object] = None) -> Func
 
 
 # ---------------------------------------------------------------------------
+# The decomposition
+
+@dataclass
+class MercerDecomposition:
+    """Eigenvalues (non-increasing) with orthonormal eigenfunctions;
+    mercer_decompose keeps the nonzero eigenvalues only.
+
+    Eigenfunction i is sum_p coeffs[i, p] g_p(x) over the coordinate
+    functions g: the exponentials e^{i omega[p] . x} when omega (K x d) is set,
+    otherwise the components of basis.
+    """
+
+    eigenvalues: np.ndarray
+    coeffs: np.ndarray
+    omega: Optional[np.ndarray] = None
+    basis: Optional[FunctionBasis] = None
+    basis_description: str = ""
+
+    @property
+    def rank(self) -> int:
+        return self.eigenvalues.size
+
+    def eigenfunction_matrix(self, X: np.ndarray) -> np.ndarray:
+        """(m, rank) eigenfunction values at the (m, data_dim) rows X."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if self.omega is not None:
+            return np.exp(1j * X @ self.omega.T) @ self.coeffs.T
+        if self.basis is None:
+            raise ValidationError("decomposition carries no evaluable basis")
+        return self.basis.eval_matrix(X) @ self.coeffs.T
+
+    def eigenfunctions_at(self, x: np.ndarray) -> np.ndarray:
+        """Eigenfunction values at one point, the one-row case of
+        eigenfunction_matrix."""
+        return self.eigenfunction_matrix(x)[0]
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "eigenvalues": self.eigenvalues.tolist(),
+                "basis": self.basis_description,
+                "rank": int(self.rank),
+            }
+        )
+
+
+def mercer_decompose(
+    kernel: EtkKernel,
+    provider: Optional[object] = None,
+    dep_tol: float = 1e-8,
+) -> tuple[MercerDecomposition, Optional[FunctionBasis]]:
+    """Mercer decomposition of an ETK with a materializable core.
+
+    Takes the frequency coordinates when the basis has Fourier factors and
+    the analytic provider, the components and the provider's Gram otherwise
+    (see the module docstring).  Eigenvalues with |lambda| <= EIG_CUTOFF times
+    the largest are dropped, so rank counts the nonzero eigenvalues only.
+    dep_tol is accepted for existing callers and does not change the result:
+    no Gram-Schmidt dependence test runs on this route.
+
+    Returns (dec, dec.basis): the pair keeps the shape of the four-step
+    pipeline's (decomposition, Gram-Schmidt result); the second value is None
+    for frequency coordinates.
+    """
+    if dep_tol <= 0:
+        raise ValidationError("dep_tol must be positive")
+    basis = basis_from_etk(kernel, provider=provider)
+    core = np.asarray(kernel.dense_core(), dtype=complex)
+    if basis.fourier is not None and isinstance(basis.provider, AnalyticFourierProvider):
+        omega, p = fourier_form(basis.fourier)
+        q, s = p.conj().T @ core @ p, sinc_matrix(omega)
+    else:
+        omega, q, s = None, core, basis.gram()
+    w, u = np.linalg.eigh(s)
+    half = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    a = half @ q @ half
+    lam, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    lam, v = lam[::-1], v[:, ::-1]
+    keep = np.abs(lam) > EIG_CUTOFF * np.abs(lam).max()
+    lam, v = lam[keep], v[:, keep]
+    b = q @ half @ v / lam
+    dec = MercerDecomposition(
+        eigenvalues=lam,
+        coeffs=b.conj().T,
+        omega=omega,
+        basis=None if omega is not None else basis,
+        basis_description=getattr(basis.provider, "kind", "custom"),
+    )
+    return dec, dec.basis
+
+
+def reconstruct_kernel(dec: MercerDecomposition, x, x2) -> complex:
+    """sum_i gamma_i conj(e_i(x)) e_i(x')."""
+    f1 = dec.eigenfunctions_at(np.asarray(x, dtype=float))
+    f2 = dec.eigenfunctions_at(np.asarray(x2, dtype=float))
+    return complex(np.sum(dec.eigenvalues * f1.conj() * f2))
+
+
+def eigenfunction_gram(dec: MercerDecomposition, gs=None) -> np.ndarray:
+    """Gram of the eigenfunctions under the declared measure (should be I):
+    the sinc matrix of dec's frequencies, or its basis's provider Gram.
+    gs (the second value of mercer_decompose, or a four-step
+    GramSchmidtResult) is accepted for existing callers and not read."""
+    c = dec.coeffs
+    g = sinc_matrix(dec.omega) if dec.omega is not None else dec.basis.gram()
+    return c.conj() @ g @ c.T
+
+
+# ---------------------------------------------------------------------------
+# The four-step construction (test oracle)
+#
 # Step 1: Gram-Schmidt in coefficient space
 
 @dataclass
@@ -282,43 +405,6 @@ def transform_truncate(core: np.ndarray, gs: GramSchmidtResult) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Step 4: diagonalization
 
-@dataclass
-class MercerDecomposition:
-    """Eigenvalues (non-increasing) with orthonormal eigenfunctions.
-
-    u maps the orthonormal basis (e_1 ... e_rank) to eigenfunctions; rows of
-    component_coeffs expand each eigenfunction over the original components,
-    so eigenfunction i evaluates as sum_j component_coeffs[i, j] F_j(x).
-    """
-
-    eigenvalues: np.ndarray
-    u: np.ndarray
-    component_coeffs: np.ndarray
-    basis: Optional[FunctionBasis] = None
-    basis_description: str = ""
-
-    @property
-    def rank(self) -> int:
-        return self.eigenvalues.size
-
-    def eigenfunctions_at(self, x: np.ndarray) -> np.ndarray:
-        if self.basis is None:
-            raise ValidationError("decomposition carries no evaluable basis")
-        return self.component_coeffs @ self.basis.eval_components(x)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eigenvalues": self.eigenvalues.tolist(),
-                "basis": self.basis_description,
-                "U": np.column_stack(
-                    [self.u.real.ravel(), self.u.imag.ravel()]
-                ).ravel().tolist(),
-                "rank": int(self.rank),
-            }
-        )
-
-
 def diagonalize(
     c_tilde: np.ndarray,
     gs: GramSchmidtResult,
@@ -334,45 +420,11 @@ def diagonalize(
     order = np.argsort(w)[::-1]
     w = w[order]
     u = v.conj().T[order]  # rows: eigenfunction coefficients over e-basis
-    d = gs.num_components
-    coeffs_perm = u @ gs.l_tilde  # over independent components, permuted order
-    coeffs = np.zeros((gs.rank, d), dtype=complex)
-    coeffs[:, gs.independent] = coeffs_perm
+    coeffs = np.zeros((gs.rank, gs.num_components), dtype=complex)
+    coeffs[:, gs.independent] = u @ gs.l_tilde  # over independent components
     return MercerDecomposition(
         eigenvalues=w,
-        u=u,
-        component_coeffs=coeffs,
-        basis=basis,
+        coeffs=coeffs,
+        basis=gs.basis if basis is None else basis,
         basis_description=basis_description,
     )
-
-
-def reconstruct_kernel(dec: MercerDecomposition, x, x2) -> complex:
-    """sum_i gamma_i conj(e_i(x)) e_i(x')."""
-    f1 = dec.eigenfunctions_at(np.asarray(x, dtype=float))
-    f2 = dec.eigenfunctions_at(np.asarray(x2, dtype=float))
-    return complex(np.sum(dec.eigenvalues * f1.conj() * f2))
-
-
-def eigenfunction_gram(dec: MercerDecomposition, gs: GramSchmidtResult) -> np.ndarray:
-    """Gram of the eigenfunctions under the declared measure (should be I)."""
-    c = dec.component_coeffs
-    return c.conj() @ gs.gram @ c.T
-
-
-def mercer_decompose(
-    kernel: EtkKernel,
-    provider: Optional[object] = None,
-    dep_tol: float = 1e-8,
-) -> tuple[MercerDecomposition, GramSchmidtResult]:
-    """Full pipeline from an ETK with a materializable core."""
-    basis = basis_from_etk(kernel, provider=provider)
-    gs = gram_schmidt_basis(basis, dep_tol=dep_tol)
-    c_tilde = transform_truncate(kernel.dense_core(), gs)
-    dec = diagonalize(
-        c_tilde,
-        gs,
-        basis=basis,
-        basis_description=getattr(basis.provider, "kind", "custom"),
-    )
-    return dec, gs

@@ -237,8 +237,7 @@ def spectrum_to_mercer(
     m = eigenvalues.size
     dec = MercerDecomposition(
         eigenvalues=eigenvalues[order],
-        u=np.eye(m, dtype=complex),
-        component_coeffs=np.eye(m, dtype=complex),
+        coeffs=np.eye(m, dtype=complex),
         basis=basis,
         basis_description="real-fourier",
     )

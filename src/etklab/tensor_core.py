@@ -392,14 +392,15 @@ def complex_from_entries(entries, shape, field: str) -> np.ndarray:
     raises StructuralError naming the JSON field."""
     size = 2 * math.prod(shape)
     try:
-        arr = np.asarray(entries, dtype=float)
+        arr = np.array(entries, dtype=float)  # a fresh, contiguous copy
     except (TypeError, ValueError) as exc:
         raise StructuralError(f"{field} must be a flat list of floats") from exc
     if arr.shape != (size,):
         raise StructuralError(
             f"{field} must hold {size} floats, got shape {arr.shape}"
         )
-    return (arr[0::2] + 1j * arr[1::2]).reshape(shape)
+    # a view keeps every bit, the sign of a zero imaginary part included
+    return arr.view(complex).reshape(shape)
 
 
 def mpo_to_json(op: MPO | LPMPO) -> str:

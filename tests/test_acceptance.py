@@ -357,20 +357,19 @@ def test_criterion_10_mpo_scaling():
             ]
         )
 
-    def timing(core, locals_):
-        best = np.inf
-        for _ in range(5):
+    cases = {}
+    for n in (10, 20, 40, 80):
+        core = random_core(n)
+        cases[n] = core, [rng.standard_normal(d) for _ in range(n)]
+    # best of 5 repeats of 20 calls; every repeat times all sizes in turn, so
+    # a slow spell of the host hits every size alike
+    times = dict.fromkeys(cases, np.inf)
+    for _ in range(5):
+        for n, (core, locals_) in cases.items():
             t0 = time.perf_counter()
             for _ in range(20):
                 sandwich_contract(locals_, core, locals_)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    times = {}
-    for n in (10, 20, 40, 80):
-        core = random_core(n)
-        locals_ = [rng.standard_normal(d) for _ in range(n)]
-        times[n] = timing(core, locals_)
+            times[n] = min(times[n], time.perf_counter() - t0)
     linear_ok = all(
         times[n] <= 1.5 * (n / 10) * times[10] for n in (20, 40, 80)
     )

@@ -202,8 +202,14 @@ class TestFullPipeline:
         core_e = p @ kernel_t.dense_core() @ p.conj().T
         kernel_e = etk_from_feature_set(circ.feature_set(), core_e, basis="E")
         dec_t, _ = mercer_decompose(kernel_t)
-        dec_e, gs_e = mercer_decompose(kernel_e)
+        dec_e, _ = mercer_decompose(kernel_e)
+        basis_e = basis_from_etk(kernel_e)
+        gs_e = gram_schmidt_basis(basis_e)
         assert gs_e.rank == 9
+        oracle = diagonalize(transform_truncate(core_e, gs_e), gs_e)
+        nonzero = oracle.eigenvalues[np.abs(oracle.eigenvalues) > 1e-11]
+        assert dec_e.rank == nonzero.size == 4
+        assert np.abs(dec_e.eigenvalues - nonzero).max() < 1e-12
         assert np.abs(dec_e.eigenvalues - dec_t.eigenvalues).max() < 1e-12
         for _ in range(50):
             x, x2 = rng.uniform(-np.pi, np.pi, (2, 2))
