@@ -425,6 +425,6 @@ def diagonalize(
     return MercerDecomposition(
         eigenvalues=w,
         coeffs=coeffs,
-        basis=gs.basis if basis is None else basis,
+        basis=basis,
         basis_description=basis_description,
     )

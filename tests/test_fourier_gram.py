@@ -151,8 +151,9 @@ def test_gram_matches_sinc_sum(basis, sites, data):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("w3", [-1.65, -1.69, -1.7, -1.71, -1.75])
 def test_close_real_frequencies_stay_orthonormal(w3, seed):
-    # (x, x, w3 x): site-summed frequencies as close as 0.25, so the
-    # component Gram's smallest eigenvalue is about 4e-14 of its largest
+    # (x, x, w3 x): site-summed frequencies as close as 0.25 apart make the
+    # component Gram nearly singular (smallest eigenvalue 3.8e-14 of the
+    # largest at w3 = -1.7)
     maps = (
         PreprocessingFn("coordinate", 1),
         PreprocessingFn("coordinate", 1),
