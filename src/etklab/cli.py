@@ -190,7 +190,7 @@ def _spectrum_table(eigenvalues: np.ndarray) -> ResultTable:
 
 def cmd_mercer(args) -> int:
     cfg = _load_config(args.config, "mercer")
-    _check_keys(cfg, {"experiment"}, {"circuit", "kernel", "dep_tol", "output"})
+    _check_keys(cfg, {"experiment"}, {"circuit", "kernel", "output"})
     if ("circuit" in cfg) == ("kernel" in cfg):
         raise SchemaError("exactly one of 'circuit' or 'kernel' is required")
     if "circuit" in cfg:
@@ -198,7 +198,7 @@ def cmd_mercer(args) -> int:
         kernel = etk_from_circuit(circ)
     else:
         kernel = etk_from_json(_read_text(cfg["kernel"]))
-    dec, _ = mercer_decompose(kernel, dep_tol=float(cfg.get("dep_tol", 1e-8)))
+    dec, _ = mercer_decompose(kernel)
     out = _out_dir(args)
     name = cfg.get("output", "mercer")
     json_path = out / f"{name}.json"

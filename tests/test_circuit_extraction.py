@@ -1,8 +1,9 @@
-"""Property tests of the factorized ``ptm`` extraction route.
+"""Property tests of the ``ptm`` extraction route, interpolation on the 3^N
+grid of site angles.
 
-Oracles: route ``dense`` (the 4^N vertical tensor product of the dense A),
-``build_A`` (the Hadamard product of the dense O' and rho^T) and the
-statevector fidelity ``simulate_kernel``.
+Oracles: route ``dense`` (the 4^N vertical tensor product of the dense
+A = O' (Hadamard) rho^T), which shares no code with ``ptm``, and the
+statevector fidelity from ``simulate_kernel`` and batched ``simulate_states``.
 """
 
 import numpy as np
@@ -12,11 +13,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_circuit
 from etklab.learning import cross_gram
 from etklab.quantum import (
-    build_A,
     build_core_CT,
     etk_from_circuit,
-    factor_A,
     simulate_kernel,
+    simulate_states,
 )
 from etklab.tensor_core import min_eig_ratio
 
@@ -43,16 +43,6 @@ def test_matches_dense_route(seed, shape):
     dense = build_core_CT(circ, route="dense")
     ptm = build_core_CT(circ, route="ptm")
     assert np.abs(ptm - dense).max() <= 1e-12 * np.abs(dense).max()
-
-
-@settings(max_examples=20)
-@given(seed=seeds, shape=ptm_shapes)
-def test_factor_reproduces_A(seed, shape):
-    circ = circuit(seed, shape)
-    u = factor_A(circ)
-    a = build_A(circ)
-    assert u.shape == (2**circ.num_sites, 2**circ.n)
-    assert np.abs(u @ u.conj().T - a).max() <= 1e-12 * np.abs(a).max()
 
 
 @settings(max_examples=20)
@@ -84,6 +74,17 @@ def test_etk_matches_statevector_at_seven_sites():
     rng = np.random.default_rng(7)
     circ = random_circuit(1, 7, rng)
     assert_matches_statevector(circ, rng)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_single_layer_matches_batched_statevector(n):
+    # L = 1: 4^n > 3^n, so the route applies T^-1 to K_grid itself; the
+    # 50 x 50 cross Gram holds the 50 pairs (X[i], X2[i]) and all others
+    rng = np.random.default_rng(n)
+    circ = random_circuit(n, 1, rng)
+    X, X2 = rng.uniform(-np.pi, np.pi, (2, 50, circ.data_dim))
+    oracle = np.abs(simulate_states(circ, X).conj() @ simulate_states(circ, X2).T) ** 2
+    assert np.abs(cross_gram(etk_from_circuit(circ), X, X2) - oracle).max() <= 1e-9
 
 
 @pytest.mark.parametrize("shape", [(1, 4), (2, 2), (1, 5)])

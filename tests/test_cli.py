@@ -229,6 +229,13 @@ class TestMercer:
         payload = json.loads((tmp_path / "mercer.json").read_text())
         assert payload["rank"] == 3
 
+    def test_dep_tol_is_unknown(self, tmp_path, circuit_file):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            {"experiment": "mercer", "circuit": circuit_file, "dep_tol": 1e-8},
+        )
+        assert main(["mercer", "--config", cfg, "--out", str(tmp_path)]) == 3
+
 
 class TestSpectrum:
     def test_uniform_top_eigenvalue(self, tmp_path):

@@ -15,11 +15,11 @@ have orthonormal eigenfunctions.  Real weights come from {0, +-1.3, +-6.1},
 so distinct site-summed frequencies differ by at least 0.9 in some
 coordinate.  Closely spaced real frequencies make the component Gram so
 ill-conditioned that Gram-Schmidt on it is not accurate in double precision;
-the eigenproblem in frequency coordinates needs no inverse of that Gram, and
-test_close_real_frequencies_stay_orthonormal checks it on rank-3 cores.  With
-a full-rank core the smallest kept eigenvalue is about 1e-11 of the largest
-and the eigenfunction Gram is off I by up to about 2e-5, a known limit that no
-test asserts.
+the eigenproblem in frequency coordinates needs no inverse of that Gram.
+test_close_real_frequencies_stay_orthonormal checks it on rank-3 cores, and
+its full-rank twin on cores whose smallest kept eigenvalue is about 1e-11 of
+the largest, which the Rayleigh-Ritz step of ``mercer_decompose`` keeps
+orthonormal.
 """
 
 import itertools
@@ -148,9 +148,7 @@ def test_gram_matches_sinc_sum(basis, sites, data):
     assert_mercer(kernel, np.random.default_rng(1))
 
 
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("w3", [-1.65, -1.69, -1.7, -1.71, -1.75])
-def test_close_real_frequencies_stay_orthonormal(w3, seed):
+def close_frequency_kernel(w3, seed, rank):
     # (x, x, w3 x): site-summed frequencies as close as 0.25 apart make the
     # component Gram nearly singular (smallest eigenvalue 3.8e-14 of the
     # largest at w3 = -1.7)
@@ -160,9 +158,25 @@ def test_close_real_frequencies_stay_orthonormal(w3, seed):
         PreprocessingFn("affine", 1, weights=(w3,)),
     )
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((27, 3)) + 1j * rng.standard_normal((27, 3))
+    m = rng.standard_normal((27, rank)) + 1j * rng.standard_normal((27, rank))
     core = m @ m.conj().T
-    kernel = etk_from_feature_set(LocalFeatureSet(maps), core / np.trace(core).real, "T")
-    dec, gs = mercer_decompose(kernel)
+    return etk_from_feature_set(LocalFeatureSet(maps), core / np.trace(core).real, "T")
+
+
+CLOSE_W3 = [-1.65, -1.69, -1.7, -1.71, -1.75]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("w3", CLOSE_W3)
+def test_close_real_frequencies_stay_orthonormal(w3, seed):
+    dec, gs = mercer_decompose(close_frequency_kernel(w3, seed, 3))
     assert dec.rank == 3
     assert np.abs(eigenfunction_gram(dec, gs) - np.eye(dec.rank)).max() <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("w3", CLOSE_W3)
+def test_close_real_frequencies_full_rank_stay_orthonormal(w3, seed):
+    # the kept spectrum spans about 1e-11, so B = Q S^1/2 V Lambda^-1 alone is
+    # off I by up to 2e-5
+    assert_mercer(close_frequency_kernel(w3, seed, 27), np.random.default_rng(seed))
