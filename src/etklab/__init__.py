@@ -29,11 +29,8 @@ from .learning import (
     tailored_target,
 )
 from .mercer import (
-    AnalyticFourierProvider,
     FunctionBasis,
     MercerDecomposition,
-    MonteCarloProvider,
-    QuadratureProvider,
     mercer_decompose,
     reconstruct_kernel,
 )
@@ -56,7 +53,6 @@ from .tensor_core import LPMPO, MPO, SiteStructure, mpo_from_dense, mpo_to_dense
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticFourierProvider",
     "Dataset",
     "EtkKernel",
     "FunctionBasis",
@@ -64,9 +60,7 @@ __all__ = [
     "LocalFeatureSet",
     "MPO",
     "MercerDecomposition",
-    "MonteCarloProvider",
     "PreprocessingFn",
-    "QuadratureProvider",
     "ResourceCapError",
     "SiteStructure",
     "StandardFormCircuit",

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .etk import etk_from_json, etk_to_json, evaluate_real
+from .feature_maps import int_from_json
 from .learning import learning_comparison_experiment
 from .mercer import mercer_decompose
 from .quantum import (
@@ -116,21 +117,31 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _check_number(value, field: str):
+    """value must be a JSON number (integer or float); any other value raises
+    SchemaError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{field} must be a number, got {value!r}")
+
+
+def _parse_model(m, field: str):
+    if m == "haar":
+        return m
+    if isinstance(m, dict) and m.get("kind") == "concentrated":
+        extra = set(m) - {"kind", "s", "eps"}
+        if extra or "s" not in m:
+            raise SchemaError(f"bad concentrated model spec: {m}")
+        int_from_json(m["s"], f"{field}.s")
+        if "eps" in m:
+            _check_number(m["eps"], f"{field}.eps")
+        return m
+    raise SchemaError(f"unknown model spec: {m}")
+
+
 def _parse_models(raw) -> list:
     if not isinstance(raw, list) or not raw:
         raise SchemaError("models must be a non-empty list")
-    models = []
-    for m in raw:
-        if m == "haar":
-            models.append(m)
-        elif isinstance(m, dict) and m.get("kind") == "concentrated":
-            extra = set(m) - {"kind", "s", "eps"}
-            if extra or "s" not in m:
-                raise SchemaError(f"bad concentrated model spec: {m}")
-            models.append(m)
-        else:
-            raise SchemaError(f"unknown model spec: {m}")
-    return models
+    return [_parse_model(m, f"models[{i}]") for i, m in enumerate(raw)]
 
 
 def _point(cfg: dict, key: str) -> np.ndarray:
@@ -145,13 +156,13 @@ def _point(cfg: dict, key: str) -> np.ndarray:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config, "eval")
-    _check_keys(cfg, {"experiment", "x", "x2"}, {"circuit", "kernel", "route"})
+    _check_keys(cfg, {"experiment", "x", "x2"}, {"circuit", "kernel"})
     if ("circuit" in cfg) == ("kernel" in cfg):
         raise SchemaError("exactly one of 'circuit' or 'kernel' is required")
     x, x2 = _point(cfg, "x"), _point(cfg, "x2")
     if "circuit" in cfg:
         circ = StandardFormCircuit.from_json(_read_text(cfg["circuit"]))
-        kernel = etk_from_circuit(circ, route=cfg.get("route", "auto"))
+        kernel = etk_from_circuit(circ)
         k_etk = evaluate_real(kernel, x, x2)
         k_sv = simulate_kernel(circ, x, x2, cap_qubits=_statevector_cap())
         print(f"etk        {k_etk:.17g}")
@@ -165,12 +176,9 @@ def cmd_eval(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _load_config(args.config, "extract")
-    _check_keys(cfg, {"experiment", "circuit"}, {"route", "output"})
+    _check_keys(cfg, {"experiment", "circuit"}, {"output"})
     circ = StandardFormCircuit.from_json(_read_text(cfg["circuit"]))
-    route = cfg.get("route", "auto")
-    if route not in ("auto", "dense", "ptm"):
-        raise SchemaError(f"route must be auto|dense|ptm, got {route!r}")
-    kernel = etk_from_circuit(circ, route=route)
+    kernel = etk_from_circuit(circ)
     out = _out_dir(args)
     name = cfg.get("output", "core")
     path = out / f"{name}.json"
@@ -218,9 +226,9 @@ def cmd_spectrum(args) -> int:
         {"experiment", "n", "model"},
         {"seed", "instances", "top", "output"},
     )
-    n = int(cfg["n"])
+    n = int_from_json(cfg["n"], "n")
     model = cfg["model"]
-    instances = int(cfg.get("instances", 1))
+    instances = int_from_json(cfg.get("instances", 1), "instances")
     out = _out_dir(args)
     name = cfg.get("output", "spectrum")
     if model == "uniform":
@@ -228,13 +236,16 @@ def cmd_spectrum(args) -> int:
         psi2_list = [np.full(2**n, 1.0 / 2**n)] * instances
         label = "uniform"
     else:
-        models = _parse_models([model])
+        model = _parse_model(model, "model")
         seed = _require_seed(cfg, args)
         psi2_list = [
-            sample_psi2(models[0], n, instance_rng(seed, 0, n, inst))
+            sample_psi2(model, n, instance_rng(seed, 0, n, inst))
             for inst in range(instances)
         ]
-        label = model_label(models[0])
+        label = model_label(model)
+    top = cfg.get("top")
+    if top is not None:
+        top = int_from_json(top, "top")
     written = []
     for inst, psi2 in enumerate(psi2_list):
         eig, _ = spectrum_arrays(psi2)
@@ -242,10 +253,9 @@ def cmd_spectrum(args) -> int:
         path = out / f"{name}_{label}_{inst}.csv"
         table.write(path)
         written.append(path)
-        top = cfg.get("top")
         if top is not None:
-            top_table = ResultTable(table.columns, table.rows[: int(top)])
-            top_path = out / f"{name}_{label}_{inst}_top{int(top)}.csv"
+            top_table = ResultTable(table.columns, table.rows[:top])
+            top_path = out / f"{name}_{label}_{inst}_top{top}.csv"
             top_table.write(top_path)
             written.append(top_path)
     for path in written:
@@ -269,9 +279,9 @@ def cmd_scaling(args) -> int:
         {"output"},
     )
     seed = _require_seed(cfg, args)
-    n_range = [int(v) for v in cfg["n_range"]]
+    n_range = [int_from_json(v, f"n_range[{i}]") for i, v in enumerate(cfg["n_range"])]
     models = _parse_models(cfg["models"])
-    instances = int(cfg["instances"])
+    instances = int_from_json(cfg["instances"], "instances")
     table = eigenvalue_scaling_experiment(n_range, models, instances, seed)
     out = _out_dir(args)
     name = cfg.get("output", "scaling")
@@ -311,9 +321,13 @@ def cmd_learn(args) -> int:
         {"schedule_points", "ridge", "target", "output"},
     )
     seed = _require_seed(cfg, args)
-    n = int(cfg["n"])
+    n = int_from_json(cfg["n"], "n")
     models = _parse_models(cfg["models"])
-    instances = int(cfg["instances"])
+    instances = int_from_json(cfg["instances"], "instances")
+    schedule_points = int_from_json(cfg.get("schedule_points", 10), "schedule_points")
+    ridge = cfg.get("ridge")
+    if ridge is not None:
+        _check_number(ridge, "ridge")
     target = cfg.get("target", "tailored")
     if target not in ("tailored", "zero"):
         raise SchemaError(f"target must be tailored|zero, got {target!r}")
@@ -322,8 +336,8 @@ def cmd_learn(args) -> int:
         models,
         instances,
         seed,
-        schedule_points=int(cfg.get("schedule_points", 10)),
-        ridge=cfg.get("ridge"),
+        schedule_points=schedule_points,
+        ridge=ridge,
         zero_target=(target == "zero"),
     )
     # aggregate rows: mean mse / mean alignment across instances per (model, m)

@@ -6,8 +6,10 @@ phi feeds two local feature vectors:
 * T basis: (1, cos phi, sin phi) / sqrt(2), real with unit norm;
 * E basis: (1, e^{i phi}, e^{-i phi}, 1), complex.
 
-The two are linked by the constant 4x3 isometry P via E = 2 P T.  Both are
-computed by ``trig_features``, for one angle or for an array of angles;
+The two are linked by E = 2 P T for a constant 4x3 isometry P, whose
+columns are the column-major vectorizations of I, X, Y over sqrt(2) (the
+tests build P to check that identity).  Both are computed by
+``trig_features``, for one angle or for an array of angles;
 ``LocalFeatureSet.angles`` gives the (m, N) site angles of many data rows at
 once: the one path from data rows to site angles.
 
@@ -161,22 +163,6 @@ def eval_local_T(fn: PreprocessingFn, x: np.ndarray) -> np.ndarray:
 def eval_local_E(fn: PreprocessingFn, x: np.ndarray) -> np.ndarray:
     """Complex local feature (1, e^{i phi}, e^{-i phi}, 1)."""
     return trig_features(fn(x), "E")
-
-
-def isometry_P() -> np.ndarray:
-    """The constant 4x3 isometry with E = 2 P T; satisfies P^dag P = I_3.
-
-    Columns are the column-major vectorizations of I, X, Y over sqrt(2).
-    """
-    return np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 1.0j],
-            [0.0, 1.0, -1.0j],
-            [1.0, 0.0, 0.0],
-        ],
-        dtype=complex,
-    ) / np.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,48 +13,32 @@ once, with qubit signs s = 1 - 2 bit.  The statevector oracle
 (``LocalFeatureSet.angles``, as ``etk.feature_matrix`` uses), and
 ``simulate_kernel`` is the two-row case of that.
 
-The production route "ptm" (taken by "auto" for every N <= 7) builds the
-3^N x 3^N real symmetric PSD core C_T by exact interpolation.  With one
-angle per site, K(phi, phi') = t(phi)^(x)N^T C_T t(phi')^(x)N for
-t = (1, cos, sin)/sqrt(2), so the kernel on the 3^N grid of site angles
-g = (0, 2pi/3, 4pi/3) per site fixes C_T through the invertible 3 x 3 matrix
-T of rows t(g_a).  It needs only the 3^N grid states.  Best of 3 on 2 vCPUs
-it takes 0.01-0.03 s at N = 6, 0.12-0.19 s for n = 1, L = 7 and
-0.36-0.6 s for n = 7, L = 1.  The route "dense" (N <= 5) is the test oracle and shares no code
-with it: it forms A = O' (Hadamard) rho^T on 2^N dimensions, the 4^N
-intermediate C = A^T (vertical tensor) A, and applies the per-site
-isometry P.
+``build_core_CT`` builds the 3^N x 3^N real symmetric PSD core C_T, N <= 7,
+by exact interpolation.  With one angle per site,
+K(phi, phi') = t(phi)^(x)N^T C_T t(phi')^(x)N for t = (1, cos, sin)/sqrt(2),
+so the kernel on the 3^N grid of site angles g = (0, 2pi/3, 4pi/3) per site
+fixes C_T through the invertible 3 x 3 matrix T of rows t(g_a).  It needs
+only the 3^N grid states.  Best of 3 on 2 vCPUs it takes 0.01-0.03 s at
+N = 6, 0.12-0.19 s for n = 1, L = 7 and 0.36-0.6 s for n = 7, L = 1.  The
+tests check it against a dense oracle that shares no code with it (the 4^N
+vertical tensor product of A = O' (Hadamard) rho^T, in tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
 from typing import Optional
 
 import numpy as np
 
 from .errors import ResourceCapError, StructuralError, ValidationError
 from .etk import EtkKernel, _sample_rows, etk_from_feature_set
-from .feature_maps import (
-    LocalFeatureSet,
-    PreprocessingFn,
-    int_from_json,
-    isometry_P,
-    trig_features,
-)
-from .tensor_core import (
-    DEFAULT_DENSE_CAP,
-    SiteStructure,
-    complex_entries,
-    complex_from_entries,
-    hadamard_product,
-    vertical_tensor_product,
-)
+from .feature_maps import LocalFeatureSet, PreprocessingFn, int_from_json, trig_features
+from .tensor_core import complex_entries, complex_from_entries
 
 STATEVECTOR_CAP_QUBITS = 12
-DENSE_ROUTE_MAX_SITES = 5
+DENSE_ROUTE_MAX_SITES = 5  # the dense test oracle's limit; the bench reads it
 PTM_ROUTE_MAX_SITES = 7
 
 
@@ -197,53 +181,7 @@ def simulate_kernel(
 
 
 # ---------------------------------------------------------------------------
-# Extraction chain
-
-def _check_site_cap(num_sites: int, cap: int, what: str):
-    if (2**num_sites) ** 2 > cap:
-        raise ResourceCapError(
-            f"{what} on {num_sites} sites exceeds the dense cap {cap}"
-        )
-
-
-def build_O_prime(circ: StandardFormCircuit, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Fixed-unitary observable O' = V V^dagger on 2^N; Hermitian PSD.  V is
-    the Kronecker product of one column (W_{2j}^dagger (x) I)|Phi> per layer
-    pair, |Phi> = sum_i |ii>, then I_{2^n} when L is odd."""
-    _check_site_cap(circ.num_sites, cap, "O'")
-    eye = [np.eye(2**circ.n, dtype=complex)] if circ.num_layers % 2 else []
-    v = reduce(np.kron, [w.conj().T.reshape(-1, 1) for w in circ.unitaries[1::2]] + eye)
-    return v @ v.conj().T
-
-
-def build_rho(circ: StandardFormCircuit, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Initial-state operator rho = V V^dagger on 2^N; Hermitian PSD.  V is
-    the Kronecker product of psi = W_1|0>, one column (I (x) W_{2j+1})|Phi>
-    per layer pair, then I_{2^n} when L is even."""
-    _check_site_cap(circ.num_sites, cap, "rho")
-    eye = [] if circ.num_layers % 2 else [np.eye(2**circ.n, dtype=complex)]
-    cols = [w.T.reshape(-1, 1) for w in circ.unitaries[2::2]]
-    v = reduce(np.kron, [circ.unitaries[0][:, :1]] + cols + eye)
-    return v @ v.conj().T
-
-
-def build_A(circ: StandardFormCircuit, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """A = O' (Hadamard) rho^T; Hermitian PSD by the Schur product theorem."""
-    return hadamard_product(build_O_prime(circ, cap), build_rho(circ, cap).T)
-
-
-def full_diag_vector(circ: StandardFormCircuit, x: np.ndarray) -> np.ndarray:
-    """Diagonal of S(x): kron over sites k of (e^{-i phi_k/2}, e^{i phi_k/2})."""
-    phi = circ.feature_set().angles(np.asarray(x, dtype=float)[None])[0]
-    return reduce(np.kron, [np.exp([-0.5j * p, 0.5j * p]) for p in phi])
-
-
-def trace_form_kernel(circ: StandardFormCircuit, x, x2) -> float:
-    """|Tr[rho S^dag(x) O' S(x')]|^2 = |<S(x)| A |S(x')>|^2 (oracle route)."""
-    a = build_A(circ)
-    s1, s2 = full_diag_vector(circ, x), full_diag_vector(circ, x2)
-    return float(abs(s1.conj() @ a @ s2) ** 2)
-
+# Extraction
 
 # Site-angle grid g = (0, 2pi/3, 4pi/3) and the inverse of T, whose row a is
 # the local feature t(g_a) = (1, cos g_a, sin g_a)/sqrt(2).
@@ -260,53 +198,33 @@ def _per_site(m: np.ndarray, x: np.ndarray, num_sites: int) -> np.ndarray:
     return x.reshape(-1, cols)
 
 
-def build_core_CT(
-    circ: StandardFormCircuit,
-    route: str = "ptm",
-    cap: int = DEFAULT_DENSE_CAP,
-) -> np.ndarray:
-    """Real symmetric PSD core C_T (3^N x 3^N) of the circuit's ETK.
+def build_core_CT(circ: StandardFormCircuit) -> np.ndarray:
+    """Real symmetric PSD core C_T (3^N x 3^N) of the circuit's ETK, N <= 7.
 
-    Route "ptm" interpolates on the 3^N grid of site angles g^N: each site
-    angle enters the kernel only at frequencies -1, 0, 1, so
+    Interpolation on the 3^N grid of site angles g^N: each site angle enters
+    the kernel only at frequencies -1, 0, 1, so
     K_grid = T^(x)N C_T T^(x)N^T fixes C_T = (T^-1)^(x)N K_grid (T^-1)^(x)N^T,
     with T^-1 applied one site at a time.  K_grid = Z Z^dagger, where row g
     of Z is psi(g) (x) conj psi(g) for the grid states psi(g) = U(g)|0>.
     When 4^n < 3^N (L >= 2), C_T = F F^dagger with F = (T^-1)^(x)N Z
     (3^N x 4^n), in O(9^N 4^n); otherwise (L = 1) T^-1 goes on both sides of
-    K_grid = |conj(V) V^T|^2 itself, in O(9^N (2^n + N)).  Route "dense" (the
-    oracle) contracts the 4^N intermediate C = A^T (vertical tensor) A, with
-    A = O' (Hadamard) rho^T, with the per-site isometry P.
+    K_grid = |conj(V) V^T|^2 itself, in O(9^N (2^n + N)).
     """
     num_sites = circ.num_sites
-    if route == "dense":
-        if num_sites > DENSE_ROUTE_MAX_SITES:
-            raise ResourceCapError(
-                f"dense route supports up to {DENSE_ROUTE_MAX_SITES} sites "
-                f"(got {num_sites}); try route='ptm'"
-            )
-        a = build_A(circ, cap)
-        structure = SiteStructure((2,) * num_sites)
-        c = vertical_tensor_product(a.T, a, structure)
-        p_full = reduce(np.kron, [isometry_P()] * num_sites)
-        ct = (4**num_sites) * (p_full.conj().T @ c @ p_full)
-    elif route == "ptm":
-        if num_sites > PTM_ROUTE_MAX_SITES:
-            raise ResourceCapError(
-                f"ptm route supports up to {PTM_ROUTE_MAX_SITES} sites "
-                f"(got {num_sites})"
-            )
-        grid = _GRID[np.indices((3,) * num_sites).reshape(num_sites, -1).T]
-        v = site_states(circ, grid)
-        if 4**circ.n < 3**num_sites:
-            z = (v[:, :, None] * v.conj()[:, None, :]).reshape(len(v), -1)
-            f = _per_site(_T_INV, z, num_sites)
-            ct = f @ f.conj().T
-        else:
-            k_grid = np.abs(v.conj() @ v.T) ** 2
-            ct = _per_site(_T_INV, _per_site(_T_INV, k_grid, num_sites).T, num_sites)
+    if num_sites > PTM_ROUTE_MAX_SITES:
+        raise ResourceCapError(
+            f"circuit extraction supports up to {PTM_ROUTE_MAX_SITES} sites "
+            f"(got {num_sites})"
+        )
+    grid = _GRID[np.indices((3,) * num_sites).reshape(num_sites, -1).T]
+    v = site_states(circ, grid)
+    if 4**circ.n < 3**num_sites:
+        z = (v[:, :, None] * v.conj()[:, None, :]).reshape(len(v), -1)
+        f = _per_site(_T_INV, z, num_sites)
+        ct = f @ f.conj().T
     else:
-        raise ValidationError(f"unknown route {route!r}")
+        k_grid = np.abs(v.conj() @ v.T) ** 2
+        ct = _per_site(_T_INV, _per_site(_T_INV, k_grid, num_sites).T, num_sites)
     imag = np.abs(ct.imag).max()
     scale = max(np.abs(ct).max(), 1e-300)
     if imag > 1e-9 * scale:
@@ -315,14 +233,10 @@ def build_core_CT(
     return (ct + ct.T) / 2.0
 
 
-def etk_from_circuit(
-    circ: StandardFormCircuit, route: str = "auto", cap: int = DEFAULT_DENSE_CAP
-) -> EtkKernel:
+def etk_from_circuit(circ: StandardFormCircuit) -> EtkKernel:
     """Exact ETK with trig local features and core C_T; evaluation of this
-    kernel reproduces the statevector fidelity.  Route "auto" is "ptm"."""
-    if route == "auto":
-        route = "ptm"
-    ct = build_core_CT(circ, route=route, cap=cap)
+    kernel reproduces the statevector fidelity."""
+    ct = build_core_CT(circ)
     return etk_from_feature_set(
         circ.feature_set(), ct.astype(complex), basis="T", psd_verified=True
     )

@@ -20,11 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError
-from .mercer import (
-    FunctionBasis,
-    MercerDecomposition,
-    QuadratureProvider,
-)
+from .mercer import FunctionBasis, MercerDecomposition
 from .tables import ResultTable
 
 HAAR_MODEL = "haar"
@@ -181,13 +177,9 @@ def single_layer_spectrum(psi2: np.ndarray) -> list[FrequencyTerm]:
 
 def _canonical_positive(omega: np.ndarray) -> np.ndarray:
     """Mask of frequency vectors whose first nonzero entry is +1."""
-    m = omega.shape[0]
-    keep = np.zeros(m, dtype=bool)
-    for i in range(m):
-        w = omega[i]
-        nz = np.nonzero(w)[0]
-        keep[i] = nz.size > 0 and w[nz[0]] > 0
-    return keep
+    nonzero = omega != 0
+    leading = nonzero & (np.cumsum(nonzero, axis=1) == 1)
+    return (omega * leading).sum(axis=1) > 0
 
 
 def spectrum_to_mercer(
@@ -198,8 +190,8 @@ def spectrum_to_mercer(
     The basis is {1} plus {sqrt(2) cos(w.x), sqrt(2) sin(w.x)} per canonical
     frequency; the conjugate pair alpha / alpha-bar contributes its common
     eigenvalue once to the cosine and once to the sine function.  The
-    functions are orthonormal by construction; their basis declares
-    quadrature (n <= 3) for callers that ask it for a Gram anyway.
+    functions are orthonormal by construction; their basis has no Fourier
+    factors, so a caller that asks it for a Gram gets quadrature (n <= 3).
     """
     if isinstance(terms, tuple):
         eig, omega = terms
@@ -232,7 +224,6 @@ def spectrum_to_mercer(
     basis = FunctionBasis(
         lambda X: [np.array([[f(x) for f in funcs] for x in X], dtype=complex)],
         data_dim=n,
-        provider=QuadratureProvider(),
     )
     m = eigenvalues.size
     dec = MercerDecomposition(

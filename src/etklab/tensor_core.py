@@ -50,11 +50,6 @@ class SiteStructure:
         return math.prod(self.local_dims)
 
 
-def is_hermitian(m: np.ndarray, rtol: float = 1e-12) -> bool:
-    scale = max(np.abs(m).max(), 1e-300)
-    return np.abs(m - m.conj().T).max() <= rtol * scale
-
-
 def min_eig_ratio(m: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix, relative to its trace."""
     w = np.linalg.eigvalsh((m + m.conj().T) / 2)
@@ -341,38 +336,6 @@ def lpmpo_sandwich(
     bra = [np.asarray(v)[None] for v in bra_locals]
     ket = [np.asarray(v)[None] for v in ket_locals]
     return complex(lpmpo_gram(bra, lp, ket)[0, 0])
-
-
-def vertical_tensor_product(
-    a: np.ndarray, b: np.ndarray, structure: SiteStructure
-) -> np.ndarray:
-    """Site-interleaving tensor product: odd legs of the result index a,
-    even legs index b.  Equals P (a kron b) P^T for the interleaving
-    permutation P."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    dims = structure.local_dims
-    total = structure.total_dim
-    if a.shape != (total, total) or b.shape != (total, total):
-        raise StructuralError("operands must be square with matching site dims")
-    n = len(dims)
-    k = np.kron(a, b)
-    # rows of kron(a, b): (a-site legs..., b-site legs...); interleave them
-    t = k.reshape(dims + dims + dims + dims)
-    order = []
-    for i in range(n):
-        order += [i, n + i]
-    order += [2 * n + j for j in order[: 2 * n]]
-    t = np.transpose(t, order)
-    return t.reshape(total * total, total * total)
-
-
-def hadamard_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise StructuralError(f"shape mismatch {a.shape} vs {b.shape}")
-    return a * b
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import hadamard_circuit, random_circuit
 from etklab.etk import (
+    etk_from_feature_set,
     evaluate_real,
     feature_matrix,
     linear_sum_etk,
@@ -50,6 +51,7 @@ from etklab.tensor_core import (
     mpo_to_dense,
     sandwich_contract,
 )
+from oracles import dense_core_CT
 from test_mercer import random_trig_etk
 
 _csv_cache = {}
@@ -74,19 +76,26 @@ def circuit_sweep():
     """50 random circuits with their extracted cores (criteria 1 and 2)."""
     rng = np.random.default_rng(20260823)
     sweep = []
-    for i in range(25):  # dense route: n <= 2, L <= 2
+    for i in range(25):  # dense oracle: n <= 2, L <= 2
         n = 1 + i % 2
         layers = 1 + (i // 2) % 2
         circ = random_circuit(n, layers, rng)
         sweep.append((circ, "dense"))
-    for i in range(25):  # ptm route: n <= 3, L = 2
+    for i in range(25):  # production extraction: n <= 3, L = 2
         n = 2 + i % 2
         circ = random_circuit(n, 2, rng)
         sweep.append((circ, "ptm"))
     out = []
     for circ, route in sweep:
-        ct = build_core_CT(circ, route=route)
-        out.append((circ, route, ct, etk_from_circuit(circ, route=route)))
+        if route == "dense":
+            ct = dense_core_CT(circ)
+            kernel = etk_from_feature_set(
+                circ.feature_set(), ct.astype(complex), basis="T", psd_verified=True
+            )
+        else:
+            ct = build_core_CT(circ)
+            kernel = etk_from_circuit(circ)
+        out.append((circ, route, ct, kernel))
     return out
 
 
@@ -130,7 +139,7 @@ def test_criterion_02_core_structure(circuit_sweep):
 
 def test_criterion_03_hadamard_closed_form():
     circ = hadamard_circuit()
-    ct = build_core_CT(circ, route="dense")
+    ct = dense_core_CT(circ)
     core_err = np.abs(ct - np.eye(3)).max()
     kernel = etk_from_circuit(circ)
     grid = np.linspace(-np.pi, np.pi, 100)

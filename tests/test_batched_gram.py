@@ -21,9 +21,10 @@ from etklab.etk import (
     polynomial_etk,
     shift_invariant_etk,
 )
-from etklab.feature_maps import LocalFeatureSet, PreprocessingFn, isometry_P
+from etklab.feature_maps import LocalFeatureSet, PreprocessingFn
 from etklab.learning import cross_gram
 from etklab.tensor_core import GRAM_BLOCK_ROWS, LPMPO, MPO
+from oracles import isometry_P
 
 REL_TOL = 1e-12
 

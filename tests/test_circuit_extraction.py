@@ -1,8 +1,8 @@
-"""Property tests of the ``ptm`` extraction route, interpolation on the 3^N
-grid of site angles.
+"""Property tests of circuit extraction, ``build_core_CT``'s interpolation
+on the 3^N grid of site angles.
 
-Oracles: route ``dense`` (the 4^N vertical tensor product of the dense
-A = O' (Hadamard) rho^T), which shares no code with ``ptm``, and the
+Oracles: ``oracles.dense_core_CT`` (the 4^N vertical tensor product of the
+dense A = O' (Hadamard) rho^T), which shares no code with extraction, and the
 statevector fidelity from ``simulate_kernel`` and batched ``simulate_states``.
 """
 
@@ -19,13 +19,14 @@ from etklab.quantum import (
     simulate_states,
 )
 from etklab.tensor_core import min_eig_ratio
+from oracles import dense_core_CT
 
 seeds = st.integers(0, 2**32 - 1)
-# (n, L) with n <= 3 and N = n L <= 5: every N up to the dense route's cap
+# (n, L) with n <= 3 and N = n L <= 5: every N up to the dense oracle's cap
 small_shapes = st.sampled_from(
     [(n, layers) for n in (1, 2, 3) for layers in range(1, 6) if n * layers <= 5]
 )
-# n <= 3, L <= 3: up to N = 9 sites, kept to the ptm route's N <= 7
+# n <= 3, L <= 3: up to N = 9 sites, kept to extraction's N <= 7
 ptm_shapes = st.sampled_from(
     [(n, layers) for n in (1, 2, 3) for layers in (1, 2, 3) if n * layers <= 7]
 )
@@ -40,15 +41,15 @@ def circuit(seed, shape, data_dim=None):
 @given(seed=seeds, shape=small_shapes)
 def test_matches_dense_route(seed, shape):
     circ = circuit(seed, shape)
-    dense = build_core_CT(circ, route="dense")
-    ptm = build_core_CT(circ, route="ptm")
+    dense = dense_core_CT(circ)
+    ptm = build_core_CT(circ)
     assert np.abs(ptm - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 @settings(max_examples=20)
 @given(seed=seeds, shape=ptm_shapes)
 def test_core_is_real_symmetric_psd(seed, shape):
-    ct = build_core_CT(circuit(seed, shape), route="ptm")
+    ct = build_core_CT(circuit(seed, shape))
     assert np.isrealobj(ct)
     assert np.array_equal(ct, ct.T)
     assert min_eig_ratio(ct.astype(complex)) >= -1e-10
@@ -78,7 +79,7 @@ def test_etk_matches_statevector_at_seven_sites():
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_single_layer_matches_batched_statevector(n):
-    # L = 1: 4^n > 3^n, so the route applies T^-1 to K_grid itself; the
+    # L = 1: 4^n > 3^n, so extraction applies T^-1 to K_grid itself; the
     # 50 x 50 cross Gram holds the 50 pairs (X[i], X2[i]) and all others
     rng = np.random.default_rng(n)
     circ = random_circuit(n, 1, rng)
@@ -89,6 +90,7 @@ def test_single_layer_matches_batched_statevector(n):
 
 @pytest.mark.parametrize("shape", [(1, 4), (2, 2), (1, 5)])
 def test_auto_takes_the_ptm_route(shape):
+    # the kernel carries the extracted core unchanged
     circ = circuit(3, shape)
     core = etk_from_circuit(circ).core
-    assert np.array_equal(core, build_core_CT(circ, route="ptm"))
+    assert np.array_equal(core, build_core_CT(circ))

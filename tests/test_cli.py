@@ -196,23 +196,32 @@ class TestExtract:
     def test_hadamard_core(self, tmp_path, circuit_file):
         cfg = write_config(
             tmp_path / "cfg.json",
-            {"experiment": "extract", "circuit": circuit_file, "route": "dense"},
+            {"experiment": "extract", "circuit": circuit_file},
         )
         assert main(["extract", "--config", cfg, "--out", str(tmp_path)]) == 0
         kernel = etk_from_json((tmp_path / "core.json").read_text())
         assert np.abs(kernel.dense_core() - np.eye(3)).max() < 1e-10
 
-    def test_dense_cap_suggests_ptm(self, tmp_path, capsys):
+    def test_site_cap_names_the_limit(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         circ = random_circuit(2, 4, rng)  # 8 sites
         path = tmp_path / "big.json"
         path.write_text(circ.to_json())
         cfg = write_config(
             tmp_path / "cfg.json",
-            {"experiment": "extract", "circuit": str(path), "route": "dense"},
+            {"experiment": "extract", "circuit": str(path)},
         )
         assert main(["extract", "--config", cfg, "--out", str(tmp_path)]) == 4
-        assert "ptm" in capsys.readouterr().err
+        assert "up to 7 sites" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["extract", "eval"])
+    def test_route_is_unknown(self, tmp_path, circuit_file, capsys, command):
+        payload = {"experiment": command, "circuit": circuit_file, "route": "dense"}
+        if command == "eval":
+            payload.update(x=[0.0], x2=[0.0])
+        cfg = write_config(tmp_path / "cfg.json", payload)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "unknown config fields: ['route']" in capsys.readouterr().err
 
 
 class TestMercer:
@@ -358,6 +367,38 @@ class TestLearn:
         rows = (tmp_path / "learn.csv").read_text().splitlines()[1:]
         for r in rows:
             assert float(r.split(",")[3]) == 0.0
+
+
+BASE_CONFIGS = {
+    "spectrum": {"experiment": "spectrum", "seed": 0, "n": 2, "model": "uniform"},
+    "scaling": {"experiment": "scaling", "seed": 0, "n_range": [2],
+                "models": ["haar"], "instances": 1},
+    "learn": {"experiment": "learn", "seed": 0, "n": 2, "models": ["haar"],
+              "instances": 1, "schedule_points": 3},
+}
+
+
+@pytest.mark.parametrize("command, key, value, field", [
+    ("spectrum", "n", "abc", "n"),
+    ("spectrum", "n", 2.7, "n"),
+    ("spectrum", "n", True, "n"),
+    ("spectrum", "instances", "x", "instances"),
+    ("spectrum", "top", "x", "top"),
+    ("spectrum", "model", {"kind": "concentrated", "s": "a"}, "model.s"),
+    ("scaling", "n_range", [2, "q"], "n_range[1]"),
+    ("scaling", "instances", 1.5, "instances"),
+    ("learn", "n", "abc", "n"),
+    ("learn", "schedule_points", "x", "schedule_points"),
+    ("learn", "ridge", "x", "ridge"),
+    ("learn", "models", [{"kind": "concentrated", "s": "a"}], "models[0].s"),
+    ("learn", "models", [{"kind": "concentrated", "s": 2, "eps": "x"}],
+     "models[0].eps"),
+])
+def test_bad_number_field_exits_3(tmp_path, capsys, command, key, value, field):
+    payload = dict(BASE_CONFIGS[command], **{key: value})
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert f"{field} must be a" in capsys.readouterr().err
 
 
 class TestFlags:

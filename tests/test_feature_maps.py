@@ -10,8 +10,8 @@ from etklab.feature_maps import (
     eval_local_T,
     fourier_factor,
     fourier_gram,
-    isometry_P,
 )
+from oracles import isometry_P
 
 SQ2 = np.sqrt(2.0)
 

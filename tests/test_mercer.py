@@ -6,33 +6,33 @@ import pytest
 from conftest import hadamard_circuit, random_circuit
 from etklab.errors import ValidationError
 from etklab.etk import etk_from_feature_set, evaluate
-from etklab.feature_maps import LocalFeatureSet, PreprocessingFn, isometry_P
+from etklab.feature_maps import LocalFeatureSet, PreprocessingFn
 from etklab.mercer import (
-    AnalyticFourierProvider,
     FunctionBasis,
-    MonteCarloProvider,
-    QuadratureProvider,
     basis_from_etk,
-    diagonalize,
     eigenfunction_gram,
-    gram_schmidt_basis,
     mercer_decompose,
-    pad_L,
     reconstruct_kernel,
-    transform_truncate,
 )
 from etklab.quantum import etk_from_circuit, simulate_kernel
+from oracles import (
+    diagonalize,
+    gram_schmidt_basis,
+    isometry_P,
+    pad_L,
+    transform_truncate,
+)
 
 
-def fourier_basis(coeffs, freqs, provider=None):
-    """Basis of the functions sum_t coeffs[i, t] e^{i freqs[t] x} on [-pi, pi]."""
+def fourier_basis(coeffs, freqs, exact=True):
+    """Basis of the functions sum_t coeffs[i, t] e^{i freqs[t] x} on [-pi, pi],
+    with its Fourier factor (exact Gram) or without (quadrature Gram)."""
     c = np.asarray(coeffs, dtype=complex)
     om = np.asarray(freqs, dtype=float).reshape(c.shape[1], 1)
     return FunctionBasis(
         lambda X: [np.exp(1j * X @ om.T) @ c.T],
         data_dim=1,
-        provider=AnalyticFourierProvider() if provider is None else provider,
-        fourier=[(c, om)],
+        fourier=[(c, om)] if exact else None,
     )
 
 
@@ -78,7 +78,6 @@ class TestGramSchmidt:
         basis = FunctionBasis(
             lambda X: [np.array([[f(x) for f in funcs] for x in X], dtype=complex)],
             data_dim=1,
-            provider=QuadratureProvider(),
         )
         gs = gram_schmidt_basis(basis)
         assert gs.rank == 4
@@ -237,19 +236,17 @@ class TestFullPipeline:
 
 
 class TestProviders:
+    """The two inner products of FunctionBasis.gram: exact Fourier and
+    Gauss-Legendre quadrature."""
+
     def test_quadrature_matches_analytic(self):
         analytic = fourier_basis(np.eye(3), [0, 1, -1]).gram()
-        quad_basis = fourier_basis(np.eye(3), [0, 1, -1], QuadratureProvider())
+        quad_basis = fourier_basis(np.eye(3), [0, 1, -1], exact=False)
         assert np.abs(quad_basis.gram() - analytic).max() < 1e-10
-
-    def test_monte_carlo_converges(self):
-        analytic = fourier_basis(np.eye(2), [0, 1]).gram()
-        mc_basis = fourier_basis(
-            np.eye(2), [0, 1], MonteCarloProvider(samples=20000, seed=5)
-        )
-        assert np.abs(mc_basis.gram() - analytic).max() < 0.02
 
     def test_basis_from_etk_prefers_analytic(self, rng):
         kernel = random_trig_etk(rng, num_sites=2)
         basis = basis_from_etk(kernel)
-        assert basis.provider.kind == "analytic-fourier"
+        assert basis.fourier is not None
+        dec, _ = mercer_decompose(kernel)
+        assert dec.basis_description == "analytic-fourier"

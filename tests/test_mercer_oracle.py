@@ -2,8 +2,7 @@
 
 mercer_decompose solves one Hermitian eigenproblem in frequency (or
 component) coordinates.  The paper's four-step construction (Gram-Schmidt,
-padding, core transform, diagonalization) stays in etklab.mercer as the
-oracle.  On every kernel drawn here the two must give the same nonzero
+padding, core transform, diagonalization) is the oracle, in oracles.py.  On every kernel drawn here the two must give the same nonzero
 eigenvalues to 1e-12 of the largest, and the new route must reconstruct the
 kernel to 1e-8 and have eigenfunctions orthonormal to 1e-6.
 
@@ -22,14 +21,12 @@ from conftest import random_circuit
 from etklab.etk import polynomial_etk, shift_invariant_etk
 from etklab.mercer import (
     basis_from_etk,
-    diagonalize,
     eigenfunction_gram,
-    gram_schmidt_basis,
     mercer_decompose,
     reconstruct_kernel,
-    transform_truncate,
 )
 from etklab.quantum import etk_from_circuit, simulate_kernel
+from oracles import diagonalize, gram_schmidt_basis, transform_truncate
 from test_acceptance import kernel_values
 from test_fourier_gram import INT_WEIGHTS, REAL_WEIGHTS, SHAPES, kernels
 

@@ -8,16 +8,20 @@ from etklab.errors import ResourceCapError, ValidationError
 from etklab.etk import evaluate_real
 from etklab.quantum import (
     StandardFormCircuit,
-    build_A,
     build_core_CT,
-    build_O_prime,
-    build_rho,
     coordinate_circuit,
     etk_from_circuit,
     simulate_kernel,
+)
+from etklab.tensor_core import min_eig_ratio
+from oracles import (
+    build_A,
+    build_O_prime,
+    build_rho,
+    dense_core_CT,
+    is_hermitian,
     trace_form_kernel,
 )
-from etklab.tensor_core import is_hermitian, min_eig_ratio
 
 
 class TestSimulateKernel:
@@ -109,24 +113,23 @@ class TestTraceForm:
 class TestCoreCT:
     def test_hadamard_identity3(self):
         circ = hadamard_circuit()
-        for route in ("dense", "ptm"):
-            ct = build_core_CT(circ, route=route)
+        for ct in (dense_core_CT(circ), build_core_CT(circ)):
             assert np.abs(ct - np.eye(3)).max() < 1e-10
 
     def test_identity_unitary(self):
         circ = coordinate_circuit(1, [np.eye(2)])
-        ct = build_core_CT(circ, route="ptm")
+        ct = build_core_CT(circ)
         assert np.abs(ct - np.diag([2.0, 0.0, 0.0])).max() < 1e-12
 
     def test_routes_agree(self, rng):
         circ = random_circuit(2, 2, rng)
-        dense = build_core_CT(circ, route="dense")
-        ptm = build_core_CT(circ, route="ptm")
+        dense = dense_core_CT(circ)
+        ptm = build_core_CT(circ)
         assert np.abs(dense - ptm).max() <= 1e-10 * np.abs(dense).max()
 
     def test_structure(self, rng):
         circ = random_circuit(2, 2, rng)
-        ct = build_core_CT(circ, route="ptm")
+        ct = build_core_CT(circ)
         assert np.isrealobj(ct)
         assert np.abs(ct - ct.T).max() < 1e-10 * np.abs(ct).max()
         assert min_eig_ratio(ct.astype(complex)) >= -1e-10
@@ -134,7 +137,7 @@ class TestCoreCT:
     def test_dense_route_cap(self, rng):
         circ = random_circuit(2, 3, rng)  # 6 sites
         with pytest.raises(ResourceCapError):
-            build_core_CT(circ, route="dense")
+            dense_core_CT(circ)
 
 
 class TestEtkFromCircuit:

@@ -13,13 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from etklab.errors import StructuralError, ValidationError
 from etklab.feature_maps import PreprocessingFn
-from etklab.quantum import (
-    StandardFormCircuit,
-    simulate_kernel,
-    simulate_states,
-    trace_form_kernel,
-)
+from etklab.quantum import StandardFormCircuit, simulate_kernel, simulate_states
 from etklab.single_layer import haar_unitary
+from oracles import trace_form_kernel
 
 seeds = st.integers(0, 2**32 - 1)
 shapes = st.tuples(st.integers(1, 3), st.integers(1, 3))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import HADAMARD, random_circuit
 from etklab.errors import ValidationError
@@ -9,6 +10,7 @@ from etklab.mercer import mercer_decompose, reconstruct_kernel
 from etklab.quantum import coordinate_circuit, etk_from_circuit, simulate_kernel
 from etklab.single_layer import (
     HAAR_MODEL,
+    _canonical_positive,
     concentrated_state,
     eigenvalue_scaling_experiment,
     haar_unitary,
@@ -20,6 +22,7 @@ from etklab.single_layer import (
     spectrum_to_mercer,
     unitary_from_state,
 )
+from oracles import canonical_positive
 
 
 class TestHaarUnitary:
@@ -161,6 +164,35 @@ class TestSpectrumToMercer:
         closed = closed[closed > 1e-12]
         assert len(generic) == len(closed)
         assert np.abs(generic - closed).max() < 1e-9
+
+
+@settings(max_examples=30)
+@given(n=st.integers(1, 3), haar=st.booleans(), data=st.data())
+def test_closed_form_matches_generic_pipeline(n, haar, data):
+    """spectrum_to_mercer on psi^2 against mercer_decompose on the circuit's
+    extracted ETK, for Haar and (s, eps)-concentrated W."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    if haar:
+        w = haar_unitary(n, rng)
+    else:
+        _, w = concentrated_state(n, data.draw(st.integers(1, 2**n), "s"), 0.001, rng)
+    circ = coordinate_circuit(n, [w])
+    closed = spectrum_to_mercer(spectrum_arrays(np.abs(w[:, 0]) ** 2))
+    generic, _ = mercer_decompose(etk_from_circuit(circ))
+    # the generic route drops eigenvalues below its cutoff: pad with zeros
+    padded = np.pad(generic.eigenvalues, (0, closed.rank - generic.rank))
+    assert np.abs(np.sort(padded) - np.sort(closed.eigenvalues)).max() <= 1e-12
+    for x, x2 in rng.uniform(-np.pi, np.pi, (5, 2, n)):
+        direct = simulate_kernel(circ, x, x2)
+        assert abs(reconstruct_kernel(closed, x, x2) - direct) <= 1e-9
+        assert abs(reconstruct_kernel(generic, x, x2) - direct) <= 1e-9
+
+
+@settings(max_examples=30)
+@given(rows=st.integers(0, 40), n=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_canonical_positive_matches_row_loop(rows, n, seed):
+    omega = np.random.default_rng(seed).integers(-2, 3, (rows, n))
+    assert np.array_equal(_canonical_positive(omega), canonical_positive(omega))
 
 
 class TestScalingExperiment:

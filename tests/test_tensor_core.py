@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etklab.errors import ResourceCapError, StructuralError, ValidationError
 from etklab.tensor_core import (
     LPMPO,
     MPO,
     SiteStructure,
-    hadamard_product,
     lpmpo_materialize,
     lpmpo_sandwich,
     min_eig_ratio,
@@ -15,8 +15,8 @@ from etklab.tensor_core import (
     mpo_to_dense,
     mpo_to_json,
     sandwich_contract,
-    vertical_tensor_product,
 )
+from oracles import hadamard_product, vertical_tensor_product
 
 
 def random_psd(dim, rng):
@@ -82,6 +82,27 @@ class TestMpoFromDense:
     def test_dimension_mismatch(self):
         with pytest.raises(StructuralError):
             mpo_from_dense(np.eye(4), SiteStructure((2, 3)), 0.0)
+
+
+@settings(max_examples=100)
+@given(
+    dims=st.lists(st.integers(2, 3), min_size=1, max_size=4),
+    psd=st.booleans(),
+    tol=st.one_of(st.just(0.0), st.floats(1e-6, 0.9)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mpo_from_dense_truncation_bound(dims, psd, tol, seed):
+    """||M - mpo_to_dense(mpo_from_dense(M, dims, tol))||_F <= tol ||M||_F,
+    and rounding level at tol = 0."""
+    rng = np.random.default_rng(seed)
+    total = int(np.prod(dims))
+    if psd:
+        m = random_psd(total, rng)
+    else:
+        m = rng.standard_normal((total, total)) + 1j * rng.standard_normal((total, total))
+    fro = np.linalg.norm(m)
+    err = np.linalg.norm(mpo_to_dense(mpo_from_dense(m, SiteStructure(dims), tol)) - m)
+    assert err <= (tol * (1 + 1e-9) if tol > 0 else 1e-12) * fro
 
 
 class TestMpoToDense:
